@@ -105,8 +105,6 @@ def _cmd_run_body(args: argparse.Namespace, tel) -> int:
     g = load(args.dataset, seed=args.seed, size=args.scale)
     cache = args.cache_vertices or default_cache_vertices(args.scale)
     cfg = AmstConfig.full(args.parallelism, cache_vertices=cache)
-    if args.backend != "auto":
-        cfg = cfg.with_(backend=args.backend)
     if args.self_check:
         cfg = cfg.with_(self_check=True)
     if tel is not None:
@@ -154,16 +152,14 @@ def _cmd_run_body(args: argparse.Namespace, tel) -> int:
         from .mst import kruskal, validate_mst
 
         validate_mst(g, out.result,
-                     reference=reference or kruskal(g, backend=args.backend))
+                     reference=reference or kruskal(g))
         print("validation   : forest matches Kruskal (weight-exact)")
     if args.self_check:
         print("self-check   : invariants held every iteration "
               "(union-find, caches, event ledger)")
     if args.profile_host:
         print()
-        resolved = getattr(out.state.kernels, "backend", cfg.backend)
-        print(format_host_profile(r.extra["host_timing"],
-                                  backend=resolved), end="")
+        print(format_host_profile(r.extra["host_timing"]), end="")
     if tel is not None:
         tel.record_output(out)
         tel.summary = {
@@ -242,8 +238,6 @@ def _cmd_verify_body(args: argparse.Namespace, tel) -> int:
               f"available: {', '.join(GOLDEN_CASES)}")
         return 2
 
-    backend = None if args.backend == "auto" else args.backend
-
     if args.update_golden:
         for path in update_golden(
             names, directory=args.golden_dir, jobs=args.jobs
@@ -266,16 +260,14 @@ def _cmd_verify_body(args: argparse.Namespace, tel) -> int:
     if not args.skip_oracle:
         for name in names:
             graph = GOLDEN_CASES[name].graph_fn()
-            report = run_oracle(graph, cache=cache, jobs=args.jobs,
-                                backend=backend)
+            report = run_oracle(graph, cache=cache, jobs=args.jobs)
             status = "ok" if report.ok else "MISMATCH"
             print(f"oracle {name:<18s} {status}")
             if not report.ok:
                 failures += 1
                 print(report.format())
 
-    diffs = check_golden(names, directory=args.golden_dir, jobs=args.jobs,
-                         backend=backend)
+    diffs = check_golden(names, directory=args.golden_dir, jobs=args.jobs)
     drifted = {d.name for d in diffs}
     for name in names:
         status = "DRIFT" if name in drifted else "ok"
@@ -317,8 +309,6 @@ def _cmd_scaleout_body(args: argparse.Namespace, tel) -> int:
     g = load(args.dataset, seed=args.seed, size=args.scale)
     cache = args.cache_vertices or default_cache_vertices(args.scale)
     cfg = AmstConfig.full(args.parallelism, cache_vertices=cache)
-    if args.backend != "auto":
-        cfg = cfg.with_(backend=args.backend)
     if tel is not None:
         from .bench.runcache import config_fingerprint, graph_fingerprint
 
@@ -398,8 +388,7 @@ def _cmd_update_body(args: argparse.Namespace, tel) -> int:
         g,
         config=IncrementalConfig(
             fallback_fraction=args.fallback_fraction),
-        cache=cache,
-        backend=None if args.backend == "auto" else args.backend)
+        cache=cache)
     if tel is not None:
         from .bench.runcache import graph_fingerprint
 
@@ -788,15 +777,6 @@ def _cmd_resources(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "numpy", "numba", "python"],
-                   help="kernel execution tier (docs/PERFORMANCE.md "
-                        "'Compiled kernel tier'); auto = numba when "
-                        "installed, else numpy — results are identical "
-                        "on every tier")
-
-
 def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--telemetry", action="store_true",
                    help="record run-scoped metrics + trace; write "
@@ -829,8 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--self-check", action="store_true",
                     help="validate simulator invariants every iteration")
     pr.add_argument("--profile-host", action="store_true",
-                    help="print host wall-clock per stage/subsystem/kernel")
-    _add_backend_flag(pr)
+                    help="print host wall-clock per stage/subsystem")
     _add_telemetry_flags(pr)
     pr.set_defaults(func=_cmd_run)
 
@@ -860,7 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker processes (1 = run inline)")
     pv.add_argument("--no-cache", action="store_true",
                     help="disable the content-addressed run cache")
-    _add_backend_flag(pv)
     _add_telemetry_flags(pv)
     pv.set_defaults(func=_cmd_verify)
 
@@ -889,7 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disable the delta/run cache")
     pi.add_argument("--validate", action="store_true",
                     help="check the final forest against Kruskal")
-    _add_backend_flag(pi)
     _add_telemetry_flags(pi)
     pi.set_defaults(func=_cmd_update)
 
@@ -938,7 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(1 = run serially)")
     po.add_argument("--validate", action="store_true",
                     help="check the forest against Kruskal")
-    _add_backend_flag(po)
     _add_telemetry_flags(po)
     po.set_defaults(func=_cmd_scaleout)
 

@@ -128,12 +128,12 @@ def run_compressing(
                state.hbm.access_sequential("cm.ldv_parent_wb", dram_writes,
                                            cfg.parent_bytes))
 
-    # ---- functional commit (kernel tier) --------------------------------
+    # ---- functional commit -------------------------------------------------
     # Roots first (so leaves resolve in two hops), then leaves.
-    kern = state.kernels
-    if kern is None:  # states built outside SimState.initial
-        from ..kernels import numpy_impl as kern
-    new_parent = kern.cm_commit(parent, roots, root_final, leaf_ids)
+    new_parent = parent.copy()
+    new_parent[roots] = root_final
+    if leaf_ids.size:
+        new_parent[leaf_ids] = new_parent[new_parent[leaf_ids]]
     state.parent = new_parent
     state.fresh_at[roots] = state.iteration
     state.fresh_at[leaf_ids] = state.iteration

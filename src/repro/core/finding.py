@@ -31,7 +31,7 @@ from ..memory.hbm import BLOCK_BYTES
 from .events import IterationEvents
 from .sorting_network import bitonic_stage_count
 from .state import SimState
-from .utils import concat_ranges, count_distinct, segment_offsets
+from .utils import concat_ranges, count_distinct, segment_first, segment_offsets
 
 __all__ = ["FindingOutput", "run_finding"]
 
@@ -99,24 +99,13 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
     dst_comp = roots_all[e_dst]
     external = ~flags & (dst_comp != src_comp)
 
-    # ---- per-vertex segment scan (SEW early exit + candidate pick) ------
-    # One kernel call covers Fig 7 Steps ①-⑤: the first-external probe,
-    # the examined prefix (SEW stops after the first external edge) and
-    # the candidate selection — min (weight, eid) external edge without
-    # SEW, on which path alone the weight/eid arrays are read.
-    kern = state.kernels
-    if kern is None:  # states built outside SimState.initial
-        from ..kernels import numpy_impl as kern
+    # ---- SEW early exit: examined prefix per vertex ---------------------
+    first = segment_first(external, offsets)
+    found = first < offsets[1:]
     if cfg.sort_edges_by_weight:
-        w_flat = np.empty(0, np.float64)
-        eid_flat = np.empty(0, np.int64)
+        exam_end = np.where(found, first + 1, offsets[1:])
     else:
-        w_flat = g.weight[flat]
-        eid_flat = g.eid[flat]
-    first, found, exam_end, cand_local = kern.fm_scan(
-        external, offsets, seg_id, w_flat, eid_flat,
-        cfg.sort_edges_by_weight,
-    )
+        exam_end = offsets[1:]  # candidate via the min below
     examined = pos < exam_end[seg_id]
 
     # ---- per-edge costs --------------------------------------------------
@@ -192,10 +181,21 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
             state.parent_cache.mark_dead(new_iv_vs)
 
     # ---- candidate selection ---------------------------------------------
-    # The scan already picked each vertex's candidate (SEW: the first
-    # external edge; otherwise the minimum (weight, eid) one), aligned
-    # with the `found` vertex order by construction.
-    cand_flat = flat[cand_local[found]]
+    if cfg.sort_edges_by_weight:
+        cand_flat = flat[first[found]]
+    else:
+        # minimum (weight, eid) external edge per vertex segment; the
+        # stable lexsort keeps the earliest flat position on exact ties
+        ext_pos = np.flatnonzero(external)
+        ext_flat = flat[ext_pos]
+        order = np.lexsort(
+            (g.eid[ext_flat], g.weight[ext_flat], seg_id[ext_pos]))
+        sid = seg_id[ext_pos][order]
+        keep = np.ones(order.size, dtype=bool)
+        keep[1:] = sid[1:] != sid[:-1]
+        # every found segment has exactly one kept entry, in segment
+        # order, so the picks align with `found` by construction
+        cand_flat = ext_flat[order[keep]]
 
     cand_comp = src_comp_per_v[found]
     cand_w = g.weight[cand_flat]

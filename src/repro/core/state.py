@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..kernels.dispatch import KernelDispatch, make_dispatch
 from ..memory.direct_cache import DirectHDVCache
 from ..memory.hash_cache import HashHDVCache
 from ..memory.hbm import HBMModel
@@ -39,12 +38,12 @@ from .timing import HostTimers
 __all__ = ["SimState"]
 
 
-def _make_cache(cfg: AmstConfig, n: int, kernels: KernelDispatch | None = None):
+def _make_cache(cfg: AmstConfig, n: int):
     if not cfg.use_hdc:
         return DirectHDVCache(0, n)  # capacity 0 == everything off-chip
     if cfg.lru_cache:
         ways = 8 if cfg.cache_vertices % 8 == 0 else 1
-        return LRUCache(cfg.cache_vertices, ways=ways, kernels=kernels)
+        return LRUCache(cfg.cache_vertices, ways=ways)
     if cfg.hash_cache:
         return HashHDVCache(cfg.cache_vertices, n)
     return DirectHDVCache(cfg.cache_vertices, n)
@@ -67,7 +66,6 @@ class SimState:
     hbm: HBMModel
     iteration: int = 0
     timers: HostTimers = field(default_factory=HostTimers)
-    kernels: KernelDispatch | None = None  # backend dispatch (see repro.kernels)
 
     def __setattr__(self, name: str, value) -> None:
         # Rebinding the Parent array (the Compressing Module does this
@@ -80,8 +78,6 @@ class SimState:
     @classmethod
     def initial(cls, graph: CSRGraph, cfg: AmstConfig) -> "SimState":
         n = graph.num_vertices
-        timers = HostTimers()
-        kernels = make_dispatch(cfg.backend, timers)
         return cls(
             graph=graph,
             cfg=cfg,
@@ -93,11 +89,9 @@ class SimState:
             me_weight=np.full(n, np.inf),
             me_eid=np.full(n, -1, dtype=np.int64),
             me_target=np.full(n, -1, dtype=np.int64),
-            parent_cache=_make_cache(cfg, n, kernels),
-            minedge_cache=_make_cache(cfg, n, kernels),
+            parent_cache=_make_cache(cfg, n),
+            minedge_cache=_make_cache(cfg, n),
             hbm=HBMModel(),
-            timers=timers,
-            kernels=kernels,
         )
 
     # ------------------------------------------------------------------
@@ -119,19 +113,20 @@ class SimState:
         return cached
 
     def _recompute_roots(self) -> np.ndarray:
-        """Uncached root resolution through the backend kernel tier.
+        """Uncached root resolution by subset pointer jumping.
 
-        The NumPy tier chases only still-unresolved vertices with
-        pointer doubling (O(unresolved · log depth)); the compiled tier
-        path-compresses a scratch copy directly.  Both return the same
-        fixed point byte for byte (``tests/verify/test_kernel_identity``).
+        Only still-unresolved vertices are chased each pass (frozen IV
+        chains are typically few but long), and each pass doubles the
+        pointer, so the cost is O(unresolved · log depth) instead of the
+        full-array O(n · depth) sweep.
         """
-        kernels = self.kernels
-        if kernels is None:  # direct construction without a dispatcher
-            from ..kernels import numpy_impl
-
-            return numpy_impl.resolve_roots(self.parent)
-        return kernels.resolve_roots(self.parent)
+        cur = self.parent.copy()
+        pending = np.flatnonzero(cur[cur] != cur)
+        while pending.size:
+            cur[pending] = cur[cur[pending]]
+            sub = cur[pending]
+            pending = pending[cur[sub] != sub]
+        return cur
 
     def write_parent(self, ids: np.ndarray, values: np.ndarray) -> None:
         """Hardware Parent write: update entries, invalidate the memo."""

@@ -108,15 +108,8 @@ class TimedSubsystem:
         return value
 
 
-def format_host_profile(
-    timers, *, counts_only: bool = False, backend: str | None = None
-) -> str:
-    """Fixed-width table of host time per stage, subsystem and kernel.
-
-    ``backend`` (when given) prints a ``backend = <tier>`` line under the
-    header, so NumPy-vs-Numba attribution of the ``kernel.*`` rows is
-    visible in the same output (``amst run --backend numba
-    --profile-host``).
+def format_host_profile(timers, *, counts_only: bool = False) -> str:
+    """Fixed-width table of host time per stage and subsystem.
 
     Accepts either a :class:`HostTimers` or its :meth:`~HostTimers.snapshot`
     dict (the form ``PerfReport.extra["host_timing"]`` carries).  Stage
@@ -144,14 +137,7 @@ def format_host_profile(
     else:
         lines = ["host profile (wall-clock, simulator itself)",
                  "--------------------------------------------"]
-    if backend is not None:
-        lines.append(f"backend = {backend}")
-    header_len = len(lines)
-    for prefix, title in (
-        ("stage.", "per stage"),
-        ("sub.", "per subsystem"),
-        ("kernel.", "per kernel"),
-    ):
+    for prefix, title in (("stage.", "per stage"), ("sub.", "per subsystem")):
         rows = sorted(
             (k, v) for k, v in timers.seconds.items() if k.startswith(prefix)
         )
@@ -169,6 +155,6 @@ def format_host_profile(
                 f"  {name:<22s} {secs * 1e3:12.3f} ms "
                 f"{share:5.1f} %  {calls:>9d} calls"
             )
-    if len(lines) == header_len:
+    if len(lines) == 2:
         lines.append("  (no samples recorded)")
     return "\n".join(lines) + "\n"

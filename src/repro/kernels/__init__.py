@@ -1,49 +1,11 @@
-"""Optional compiled kernel tier for the simulator's proven hot paths.
+"""Host probe kept only for the end-to-end benchmark's ``env`` line.
 
-ROADMAP open item 2: after PR 1's vectorization, large-graph runs are
-dominated by per-iteration Python orchestration — union-find pointer
-chasing, the Finding Module's per-edge scans, the merge loops, the LRU
-replay.  This package moves those inner loops behind a uniform dispatch
-so they can run as Numba ``@njit`` machine code when available, while
-the default install keeps the pure-NumPy implementations and identical
-results.
-
-Layout:
-
-* :mod:`~repro.kernels.loops` — loop-form kernel bodies (the single
-  source the compiled tier wraps; also runnable under plain CPython);
-* :mod:`~repro.kernels.numpy_impl` — the vectorized references;
-* :mod:`~repro.kernels.numba_impl` — ``njit(cache=True)`` wrapping;
-* :mod:`~repro.kernels.backend` — ``auto``/``numpy``/``numba``/
-  ``python`` resolution with shm-style logged-once fallback;
-* :mod:`~repro.kernels.dispatch` — per-process kernel-set cache with
-  build-time warm-up, plus the per-run :class:`KernelDispatch` that
-  counts and times every call (``kernel.*`` namespaces).
-
-Selection is ``AmstConfig.backend`` (or ``amst run --backend``); see
-docs/PERFORMANCE.md "Compiled kernel tier" for the identity contract
-and measured speedups.
+See :mod:`repro.kernels.backend`: the simulator has no compiled tier,
+and this package goes away once ``perfbench/run.py`` stops importing it.
 """
 
 from __future__ import annotations
 
-from .backend import BACKENDS, numba_available, numba_version, resolve_backend
-from .dispatch import (
-    KERNEL_NAMES,
-    KernelDispatch,
-    KernelSet,
-    get_kernel_set,
-    make_dispatch,
-)
+from .backend import numba_available, resolve_backend
 
-__all__ = [
-    "BACKENDS",
-    "KERNEL_NAMES",
-    "KernelDispatch",
-    "KernelSet",
-    "get_kernel_set",
-    "make_dispatch",
-    "numba_available",
-    "numba_version",
-    "resolve_backend",
-]
+__all__ = ["numba_available", "resolve_backend"]

@@ -1,42 +1,15 @@
-"""Backend selection for the compiled kernel tier.
+"""The two functions the end-to-end benchmark's ``env`` line reads.
 
-Mirrors the shared-memory fallback contract (``repro.graph.shm``): a
-missing or broken Numba never crashes a run and never spams the log —
-``backend="auto"`` quietly stays on NumPy (debug-level note), while an
-explicit ``backend="numba"`` warns **once** per process and then falls
-back.  ``NUMBA_DISABLE_JIT`` is respected for debugging: when set, the
-``numba``/``auto`` backends resolve to the undecorated loop bodies (the
-``python`` tier), exactly what Numba itself would execute with JIT off —
-without requiring Numba to be importable at all.
-
-Resolved tiers:
-
-* ``numpy``  — the vectorized reference implementations (the default);
-* ``numba``  — ``@njit``-compiled loop bodies (requires Numba);
-* ``python`` — the same loop bodies, undecorated.  A debug tier: orders
-  of magnitude slower, but it executes the *compiled tier's exact code*
-  under plain CPython, so byte-identity of the loop algorithms is
-  testable on hosts without Numba (the identity suite leans on this).
+``perfbench/run.py::environment()`` records whether Numba is importable
+and which kernel backend runs.  The simulator no longer has a compiled
+tier, so the answer to the second question is always ``"numpy"``.  This
+module exists only for that import and goes away with it in a later
+benchmark change.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
-__all__ = [
-    "BACKENDS",
-    "numba_available",
-    "numba_version",
-    "resolve_backend",
-]
-
-log = logging.getLogger(__name__)
-
-#: accepted values of ``AmstConfig.backend`` / ``--backend``
-BACKENDS = ("auto", "numpy", "numba", "python")
-
-_warned_fallback = False
+__all__ = ["numba_available", "resolve_backend"]
 
 
 def numba_available() -> bool:
@@ -48,65 +21,6 @@ def numba_available() -> bool:
     return True
 
 
-def numba_version() -> str:
-    """Installed Numba version, or ``"absent"`` (manifest vocabulary)."""
-    try:  # pragma: no cover - trivially version-dependent
-        import numba
-    except Exception:
-        return "absent"
-    return str(getattr(numba, "__version__", "unknown"))
-
-
-def jit_disabled() -> bool:
-    """True when ``NUMBA_DISABLE_JIT`` requests interpreted kernels."""
-    return os.environ.get("NUMBA_DISABLE_JIT", "").strip() not in ("", "0")
-
-
-def _warn_fallback(reason: str) -> None:
-    global _warned_fallback
-    if not _warned_fallback:
-        log.warning(
-            "compiled kernel tier unavailable (%s); falling back to the "
-            "NumPy backend — results are identical, only speed changes",
-            reason,
-        )
-        _warned_fallback = True
-
-
-def _reset_warned() -> None:
-    """Re-arm the once-per-process warning (test isolation helper)."""
-    global _warned_fallback
-    _warned_fallback = False
-
-
 def resolve_backend(requested: str = "auto") -> str:
-    """Map a requested backend to the tier that will actually run.
-
-    ``numpy`` and ``python`` resolve to themselves.  ``numba`` and
-    ``auto`` resolve to ``numba`` when it is importable and JIT is not
-    disabled; otherwise ``auto`` degrades silently (debug log) and an
-    explicit ``numba`` request warns once — both land on ``python`` when
-    ``NUMBA_DISABLE_JIT`` is set (the debugging contract) and on
-    ``numpy`` when Numba is simply absent.
-    """
-    if requested not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {requested!r}; expected one of {BACKENDS}"
-        )
-    if requested in ("numpy", "python"):
-        return requested
-    if jit_disabled():
-        if requested == "numba" or numba_available():
-            log.debug(
-                "NUMBA_DISABLE_JIT set; running kernel loop bodies "
-                "under the interpreter (backend=python)"
-            )
-            return "python"
-        return "numpy"
-    if numba_available():
-        return "numba"
-    if requested == "numba":
-        _warn_fallback("backend='numba' requested but numba is not importable")
-    else:
-        log.debug("numba not importable; backend='auto' resolves to numpy")
+    """The backend every run uses: always ``"numpy"``."""
     return "numpy"

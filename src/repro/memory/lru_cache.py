@@ -15,14 +15,15 @@ reports its hit rate as an upper bound, not a design point.
 
 Two implementations share the model:
 
-* :class:`LRUCache` — the production model.  Accesses are grouped by
-  set (`np.argsort`, stable) and each set's stream is replayed in
-  lockstep *rounds*: round ``r`` applies the ``r``-th access of every
-  active set at once with NumPy ops, so the Python-level loop length is
-  the longest per-set stream, not the total access count.  Per-access
-  clocks are assigned in original stream order, so tags, stamps and the
-  clock are byte-identical to the scalar model (accesses to different
-  sets are independent; only the in-set order matters for behaviour).
+* :class:`LRUCache` — the production model, replaying each batch with
+  :func:`lru_replay`.  Accesses are grouped by set (`np.argsort`,
+  stable) and each set's stream is replayed in lockstep *rounds*: round
+  ``r`` applies the ``r``-th access of every active set at once with
+  NumPy ops, so the Python-level loop length is the longest per-set
+  stream, not the total access count.  Per-access clocks are assigned
+  in original stream order, so tags, stamps and the clock are
+  byte-identical to the scalar model (accesses to different sets are
+  independent; only the in-set order matters for behaviour).
 * :class:`ScalarLRUCache` — the original one-access-at-a-time model,
   retained as the equivalence-test oracle
   (``tests/memory/test_lru_equivalence.py``).
@@ -34,7 +35,90 @@ import numpy as np
 
 from .stats import CacheStats
 
-__all__ = ["LRUCache", "ScalarLRUCache"]
+__all__ = ["LRUCache", "ScalarLRUCache", "lru_replay"]
+
+
+def lru_replay(ids, tags, stamps, clock):
+    """Replay one access batch in lockstep rounds (see module docstring).
+
+    ``tags`` / ``stamps`` are the ``(sets, ways)`` cache state, mutated
+    in place; returns ``(hits, evictions, clock)``, byte-identical to
+    :class:`ScalarLRUCache` replaying the same batch.
+    """
+    n = ids.shape[0]
+    hits = np.empty(n, dtype=bool)
+    if n == 0:
+        return hits, 0, clock
+    base = clock
+    clock += n
+    set_of = ids % tags.shape[0]
+    order = np.argsort(set_of, kind="stable")  # keeps in-set order
+    ids_s = ids[order]
+    clk_s = base + 1 + order  # exact scalar per-access clocks
+    set_s = set_of[order]
+
+    # per-set segments in the sorted stream
+    k = np.arange(n, dtype=np.int64)
+    is_start = np.empty(n, dtype=bool)
+    is_start[0] = True
+    np.not_equal(set_s[1:], set_s[:-1], out=is_start[1:])
+    seg_start = k[is_start]
+    seg_idx = np.cumsum(is_start) - 1  # owning segment per element
+    counts = np.diff(np.concatenate((seg_start, [n])))
+    # longest streams first so each round's active rows are a prefix
+    by_len = np.argsort(-counts, kind="stable")
+    rank = np.empty(by_len.size, dtype=np.int64)
+    rank[by_len] = np.arange(by_len.size, dtype=np.int64)
+    su = set_s[seg_start][by_len]
+    counts = counts[by_len]
+    num_rows = su.size
+    num_rounds = int(counts[0])
+
+    # round-major padded layout: element k of the sorted stream lands at
+    # (its in-set position, row of its set), so round r is the
+    # contiguous slice vals[r, :active]
+    row = rank[seg_idx]
+    col = k - seg_start[seg_idx]
+    vals = np.empty((num_rounds, num_rows), dtype=np.int64)
+    vals[col, row] = ids_s
+    clks = np.empty((num_rounds, num_rows), dtype=np.int64)
+    clks[col, row] = clk_s
+    hit_mat = np.empty((num_rounds, num_rows), dtype=bool)
+    # active rows per round (counts descending => prefix); padded cells
+    # sit at inactive rows, so they are never read or written
+    active = np.searchsorted(
+        -counts, -np.arange(num_rounds, dtype=np.int64), side="left"
+    )
+
+    wtags = tags[su]  # (active sets, ways) working copies
+    wstamps = stamps[su]
+    ways = wtags.shape[1]
+    tags_flat = wtags.reshape(-1)
+    stamps_flat = wstamps.reshape(-1)
+    row_base = np.arange(num_rows, dtype=np.int64) * ways
+    cmp_buf = np.empty((num_rows, ways), dtype=bool)
+    evictions = 0
+    for r in range(num_rounds):
+        a = active[r]
+        v = vals[r, :a]
+        hit_rows = np.equal(wtags[:a], v[:, None], out=cmp_buf[:a])
+        is_hit = hit_rows.any(axis=1)
+        # hit: refresh the matching way; miss: evict the min-stamp way
+        # (argmax/argmin take the first index, matching the scalar
+        # model's flatnonzero[0] / argmin tie-breaks)
+        way = np.where(
+            is_hit, hit_rows.argmax(axis=1), wstamps[:a].argmin(axis=1)
+        )
+        flat = row_base[:a] + way
+        evictions += int(np.count_nonzero(~is_hit & (tags_flat[flat] >= 0)))
+        tags_flat[flat] = v
+        stamps_flat[flat] = clks[r, :a]
+        hit_mat[r, :a] = is_hit
+
+    tags[su] = wtags
+    stamps[su] = wstamps
+    hits[order] = hit_mat[col, row]
+    return hits, evictions, clock
 
 
 class _LRUBase:
@@ -96,33 +180,15 @@ class _LRUBase:
 class LRUCache(_LRUBase):
     """Set-associative LRU over vertex ids (allocate-on-read-and-write).
 
-    The replay itself now lives in the kernel tier
-    (:func:`repro.kernels.numpy_impl.lru_replay` — the vectorized
-    lockstep-rounds algorithm formerly inlined here — and its compiled
-    twin in :mod:`repro.kernels.loops`); this class keeps the cache
-    state, statistics and batch API, and dispatches each batch through
-    the run's :class:`~repro.kernels.dispatch.KernelDispatch` so the
-    backend choice and the ``kernel.lru_replay`` counters apply here
-    exactly like the simulator's other hot loops.
+    Vectorized replay: see the module docstring for the algorithm and
+    :class:`ScalarLRUCache` for the behavioural reference.
     """
 
-    def __init__(self, capacity: int, ways: int = 8, kernels=None) -> None:
-        super().__init__(capacity, ways)
-        self._kernels = kernels
-
-    def _kern(self):
-        if self._kernels is None:
-            # standalone construction (sweeps, tests): NumPy tier
-            from ..kernels.dispatch import KernelDispatch, get_kernel_set
-
-            self._kernels = KernelDispatch(get_kernel_set("numpy"))
-        return self._kernels
-
     def _replay(self, ids: np.ndarray) -> np.ndarray:
-        hits, evictions, self._clock = self._kern().lru_replay(
-            ids, self._tags, self._stamp, self._clock, self.sets, self.ways
+        hits, evictions, self._clock = lru_replay(
+            ids, self._tags, self._stamp, self._clock
         )
-        self.stats.evictions += int(evictions)
+        self.stats.evictions += evictions
         return hits
 
 

@@ -18,32 +18,11 @@ from .union_find import UnionFind
 __all__ = ["kruskal"]
 
 
-def kruskal(graph: CSRGraph, *, backend: str | None = None) -> MSTResult:
-    """Minimum spanning forest via Kruskal (the repo ground truth).
-
-    ``backend`` optionally runs the union loop through the compiled
-    kernel tier (:func:`repro.kernels.loops.kruskal_union`), which
-    accepts edges in the same sorted order and accumulates the total in
-    acceptance order — the result is byte-identical to the scalar loop
-    here (the identity suite pins it); ``None``/``"numpy"`` keeps the
-    reference loop.
-    """
+def kruskal(graph: CSRGraph) -> MSTResult:
+    """Minimum spanning forest via Kruskal (the repo ground truth)."""
     n = graph.num_vertices
     u, v, w = graph.edge_endpoints()
     order = np.lexsort((np.arange(u.size), w))
-    if backend not in (None, "numpy"):
-        from ..kernels import get_kernel_set, resolve_backend
-
-        resolved = resolve_backend(backend)
-        if resolved != "numpy":
-            chosen_m, comps, total = get_kernel_set(resolved).fns[
-                "kruskal_union"
-            ](n, u[order], v[order], w[order])
-            return MSTResult(
-                edge_ids=order[np.flatnonzero(chosen_m)].astype(np.int64),
-                total_weight=float(total),
-                num_components=int(comps),
-            )
     dsu = UnionFind(n)
     chosen: list[int] = []
     total = 0.0

@@ -72,28 +72,17 @@ class UnionFind:
         return pointer_jump(self.parent.copy())
 
 
-def pointer_jump(parent: np.ndarray, *, backend: str | None = None) -> np.ndarray:
+def pointer_jump(parent: np.ndarray) -> np.ndarray:
     """Iterated ``parent = parent[parent]`` until a fixed point.
 
     This is exactly Stage 4's path compression (Algorithm 1, line 23) in
     vectorized form; each round halves the depth of every tree, so the
     loop runs O(log depth) times.  The input array is modified in place
     and returned.
-
-    ``backend`` routes the compression through the kernel tier
-    (``"auto"``/``"numba"``/``"python"`` — see :mod:`repro.kernels`);
-    the default (``None``/``"numpy"``) keeps the doubling loop here.
-    Either way the fixed point is byte-identical.
     """
     parent = np.asarray(parent)
     if parent.dtype.kind not in "iu":
         raise TypeError("parent must be an integer array")
-    if backend not in (None, "numpy"):
-        from ..kernels import get_kernel_set, resolve_backend
-
-        resolved = resolve_backend(backend)
-        if resolved != "numpy":
-            return get_kernel_set(resolved).fns["pointer_jump"](parent)
     while True:
         nxt = parent[parent]
         if np.array_equal(nxt, parent):

@@ -38,8 +38,10 @@ __all__ = [
 #: ``repro.bench.analysis`` aggregation layer all consume this — new
 #: namespaces land HERE, with a reason, never inline at a call site;
 #: the exact contents are pinned by ``tests/obs/test_skip_prefixes``).
-#: ``kernel.dispatch.*`` counters stay diffable on purpose: unlike the
-#: ``kernel.time.*`` wall clocks they are deterministic.
+#: ``kernel.time.*`` only occurs in manifests recorded while the
+#: simulator still had a compiled kernel tier; it stays listed so those
+#: older runs diff cleanly.  Their ``kernel.dispatch.*`` counters stay
+#: diffable on purpose: unlike the wall clocks they are deterministic.
 SKIP_PREFIX_REASONS: dict[str, str] = {
     "host.": "host wall-clock timers; vary with machine load",
     "runcache.": "hit/miss mix depends on what earlier runs cached",

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import LRUCache, ScalarLRUCache
+from repro.memory.lru_cache import lru_replay
 
 _OPS = ("lookup", "write", "contains", "mark_dead")
 
@@ -54,6 +55,29 @@ def test_random_streams_byte_identical(ways, sets, spread, seed, n_ops):
         ids = rng.integers(0, spread * capacity + 1, size=size)
         ops.append((kind, ids.astype(np.int64)))
     _run_stream(capacity, ways, ops)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lru_replay_matches_scalar_model(data):
+    """The bare replay function, from an empty cache, against the
+    scalar model's hit flags and eviction count."""
+    ways = data.draw(st.sampled_from([2, 4]))
+    capacity = data.draw(st.sampled_from([8, 16]))
+    k = data.draw(st.integers(0, 40))
+    ids = np.array(
+        data.draw(st.lists(st.integers(0, 3 * capacity),
+                           min_size=k, max_size=k)),
+        dtype=np.int64,
+    )
+    ref = ScalarLRUCache(capacity, ways=ways)
+    want = ref.lookup(ids)
+    tags = np.full((capacity // ways, ways), -1, dtype=np.int64)
+    stamps = np.zeros((capacity // ways, ways), dtype=np.int64)
+    hits, evictions, clock = lru_replay(ids, tags, stamps, 0)
+    np.testing.assert_array_equal(hits, want)
+    assert evictions == ref.stats.evictions
+    assert clock == ref._clock
 
 
 def test_single_set_worst_case():

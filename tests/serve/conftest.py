@@ -48,8 +48,6 @@ def job_config(params: dict) -> AmstConfig:
     cfg = AmstConfig.full(
         int(params.get("parallelism", 16)),
         cache_vertices=int(params.get("cache_vertices", 1 << 19)))
-    if params.get("backend", "auto") != "auto":
-        cfg = cfg.with_(backend=params["backend"])
     return cfg
 
 

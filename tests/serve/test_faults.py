@@ -65,16 +65,19 @@ class TestWorkerCrash:
                                       params=PARAMS, timeout_s=120.0)
         assert ok["result"]["forest"]["digest"]
 
-    def test_fault_params_rejected_without_harness_flag(
-            self, make_daemon, client_for):
+    # "fault" is a harness key, unknown while fault injection is off;
+    # "backend" selected the removed compiled kernel tier
+    @pytest.mark.parametrize("key,value", [("fault", "crash"),
+                                           ("backend", "numpy")])
+    def test_unknown_params_rejected(self, make_daemon, client_for,
+                                     key, value):
         daemon = make_daemon(workers=1)  # fault injection OFF
         client = client_for(daemon)
         fp = client.publish(edges=edge_payload(seed=2))["fingerprint"]
         with pytest.raises(ServeClientError) as info:
-            client.submit(kind="run", graph=fp,
-                          params={"fault": "crash"})
+            client.submit(kind="run", graph=fp, params={key: value})
         assert info.value.code == "bad_request"
-        assert "fault" in info.value.details["unknown"]
+        assert info.value.details["unknown"] == [key]
 
 
 class TestMalformedRequests:
@@ -86,6 +89,18 @@ class TestMalformedRequests:
         assert status == 400
         assert body["error"]["code"] == "bad_request"
         assert "not valid JSON" in body["error"]["message"]
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_literal_is_400(self, make_daemon, literal):
+        daemon = make_daemon(workers=1)
+        body = ('{"kind": "run", "graph": "x", '
+                f'"params": {{"cache_vertices": {literal}}}}}').encode()
+        status, reply = _raw_request(
+            daemon, "POST", "/v1/jobs", body=body,
+            headers={"Content-Type": "application/json"})
+        assert status == 400
+        assert reply["error"]["code"] == "bad_request"
+        assert reply["error"]["details"]["literal"] == literal
 
     def test_empty_body_is_400(self, make_daemon):
         daemon = make_daemon(workers=1)

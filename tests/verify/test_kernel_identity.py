@@ -1,232 +1,37 @@
-"""Byte-identity of the compiled kernel tier (satellite of PR 6).
+"""End-to-end byte-identity of the NumPy hot loops against references.
 
-The contract the kernel tier ships under: every backend produces the
-*same bytes* — values, dtypes, in-place mutations, tie-breaks — as the
-NumPy reference implementations.  Property tests drive the shared
-adversarial strategies (``repro.verify.strategies``) through each
-kernel on every non-reference tier available in this interpreter:
-
-* ``python`` — the undecorated loop bodies.  Always testable, and it is
-  **the exact code Numba compiles**, so loop-algorithm identity is
-  proven even on hosts without Numba;
-* ``numba`` — the ``@njit``-compiled tier, exercised automatically when
-  Numba is importable (the CI ``kernels`` job installs it).
-
-On top of the per-kernel properties, end-to-end runs and the golden
-suite must serialize byte-identically across backends — the exact gate
-``amst verify --backend numba`` enforces.
+The ``python`` tier swaps the pure-Python one-access-at-a-time
+:class:`~repro.memory.ScalarLRUCache` in for the vectorized
+:class:`~repro.memory.LRUCache` wherever the simulator builds one.  A
+run on that tier must serialize to the same bytes as the default run:
+the same forest, cycle count, DRAM traffic and per-iteration counts, and
+for the golden suite the blessed files themselves.  Cases whose
+configuration builds no LRU cache run unchanged, which pins each golden
+case's bytes on its own.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
 from repro.core import Amst, AmstConfig
-from repro.kernels import get_kernel_set, numba_available
+from repro.core import state as state_mod
 from repro.memory import ScalarLRUCache
-from repro.mst import kruskal, pointer_jump
 from repro.verify.golden import (
     GOLDEN_CASES,
     compute_golden_record,
     golden_dir,
     serialize_record,
 )
-from repro.verify.strategies import forests, graphs
+from repro.verify.strategies import graphs
 
-#: every non-reference tier importable here; CI's kernels job adds numba
-TIERS = ["python"] + (["numba"] if numba_available() else [])
+TIERS = ["python"]
 
-REF = get_kernel_set("numpy").fns
-
-FAST = settings(max_examples=60, deadline=None)
 RUNS = settings(max_examples=20, deadline=None)
-
-
-def _fns(tier):
-    kset = get_kernel_set(tier)
-    assert kset.backend == tier  # build must not have degraded
-    return kset.fns
-
-
-def _identical(a, b):
-    """Dtype-exact equality for scalars, arrays, and tuples thereof."""
-    if isinstance(a, tuple):
-        assert isinstance(b, tuple) and len(a) == len(b)
-        for x, y in zip(a, b):
-            _identical(x, y)
-        return
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype, (a.dtype, b.dtype)
-    np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize("tier", TIERS)
-class TestUnionFindKernels:
-    @given(parent=forests())
-    @FAST
-    def test_resolve_roots(self, tier, parent):
-        _identical(_fns(tier)["resolve_roots"](parent.copy()),
-                   REF["resolve_roots"](parent.copy()))
-
-    @given(parent=forests())
-    @FAST
-    def test_pointer_jump_mutates_identically(self, tier, parent):
-        a, b = parent.copy(), parent.copy()
-        _identical(_fns(tier)["pointer_jump"](a),
-                   REF["pointer_jump"](b))
-        _identical(a, b)  # in-place compression must also match
-
-    @given(parent=forests(), data=st.data())
-    @FAST
-    def test_find_many(self, tier, parent, data):
-        k = data.draw(st.integers(0, 8))
-        xs = np.array(
-            data.draw(st.lists(st.integers(0, parent.size - 1),
-                               min_size=k, max_size=k)),
-            dtype=np.int64,
-        )
-        _identical(_fns(tier)["find_many"](parent.copy(), xs),
-                   REF["find_many"](parent.copy(), xs))
-
-
-@pytest.mark.parametrize("tier", TIERS)
-class TestForestKernels:
-    @given(g=graphs())
-    @RUNS
-    def test_kruskal_backend_path(self, tier, g):
-        ref, got = kruskal(g), kruskal(g, backend=tier)
-        np.testing.assert_array_equal(ref.edge_ids, got.edge_ids)
-        assert got.edge_ids.dtype == ref.edge_ids.dtype
-        assert got.total_weight == ref.total_weight
-        assert got.num_components == ref.num_components
-
-    @given(g=graphs())
-    @RUNS
-    def test_pointer_jump_backend_path(self, tier, g):
-        res = kruskal(g)
-        eu, ev, _ = g.edge_endpoints()
-        parent = np.arange(g.num_vertices, dtype=np.int64)
-        for e in res.edge_ids:  # build a forest worth compressing
-            u, v = int(eu[e]), int(ev[e])
-            parent[max(u, v)] = min(u, v)
-        _identical(pointer_jump(parent.copy(), backend=tier),
-                   pointer_jump(parent.copy()))
-
-    @given(parent=forests(), data=st.data())
-    @FAST
-    def test_cm_commit(self, tier, parent, data):
-        n = parent.size
-        roots = np.flatnonzero(parent == np.arange(n)).astype(np.int64)
-        leaf_ids = np.flatnonzero(parent != np.arange(n)).astype(np.int64)
-        root_final = np.array(
-            data.draw(st.lists(st.integers(0, n - 1),
-                               min_size=roots.size, max_size=roots.size)),
-            dtype=np.int64,
-        )
-        _identical(
-            _fns(tier)["cm_commit"](parent, roots, root_final, leaf_ids),
-            REF["cm_commit"](parent, roots, root_final, leaf_ids))
-
-    @given(data=st.data())
-    @FAST
-    def test_rape_mirrors(self, tier, data):
-        n = data.draw(st.integers(1, 24))
-        me_eid = np.array(
-            data.draw(st.lists(st.integers(-1, 6),
-                               min_size=n, max_size=n)),
-            dtype=np.int64,
-        )
-        k = data.draw(st.integers(0, n))
-        idx = st.integers(0, n - 1)
-        cand = np.array(data.draw(st.lists(idx, min_size=k, max_size=k)),
-                        dtype=np.int64)
-        tgt = np.array(data.draw(st.lists(idx, min_size=k, max_size=k)),
-                       dtype=np.int64)
-        _identical(_fns(tier)["rape_mirrors"](me_eid, cand, tgt),
-                   REF["rape_mirrors"](me_eid, cand, tgt))
-
-
-@st.composite
-def _fm_inputs(draw):
-    """Valid FM scan inputs: segments with unique edge ids."""
-    nseg = draw(st.integers(1, 10))
-    lens = np.array(
-        draw(st.lists(st.integers(0, 6), min_size=nseg, max_size=nseg)),
-        dtype=np.int64,
-    )
-    offsets = np.zeros(nseg + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    m = int(offsets[-1])
-    seg_id = np.repeat(np.arange(nseg, dtype=np.int64), lens)
-    external = np.array(
-        draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
-    w = np.array(
-        draw(st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.5]),
-                      min_size=m, max_size=m)),
-        dtype=np.float64,
-    )
-    eid = np.random.default_rng(
-        draw(st.integers(0, 2**31 - 1))).permutation(m).astype(np.int64)
-    return external, offsets, seg_id, w, eid
-
-
-@pytest.mark.parametrize("tier", TIERS)
-class TestScanKernels:
-    @given(inputs=_fm_inputs(), sew=st.booleans())
-    @FAST
-    def test_fm_scan(self, tier, inputs, sew):
-        external, offsets, seg_id, w, eid = inputs
-        if sew:  # SEW mode never reads weights/eids (pre-sorted rows)
-            w = np.empty(0, dtype=np.float64)
-            eid = np.empty(0, dtype=np.int64)
-        _identical(
-            _fns(tier)["fm_scan"](external, offsets, seg_id, w, eid, sew),
-            REF["fm_scan"](external, offsets, seg_id, w, eid, sew))
-
-    @given(data=st.data())
-    @FAST
-    def test_lru_replay(self, tier, data):
-        nsets = data.draw(st.sampled_from([1, 2, 4]))
-        ways = data.draw(st.sampled_from([1, 2, 4]))
-        k = data.draw(st.integers(0, 40))
-        ids = np.array(
-            data.draw(st.lists(st.integers(0, 5 * nsets * ways),
-                               min_size=k, max_size=k)),
-            dtype=np.int64,
-        )
-        shape = (nsets, ways)
-        tags_a = np.full(shape, -1, dtype=np.int64)
-        stamps_a = np.zeros(shape, dtype=np.int64)
-        tags_b, stamps_b = tags_a.copy(), stamps_a.copy()
-        _identical(
-            _fns(tier)["lru_replay"](ids, tags_a, stamps_a, 0, nsets, ways),
-            REF["lru_replay"](ids, tags_b, stamps_b, 0, nsets, ways))
-        _identical(tags_a, tags_b)  # cache state mutated identically
-        _identical(stamps_a, stamps_b)
-
-    @given(data=st.data())
-    @FAST
-    def test_lru_replay_matches_scalar_model(self, tier, data):
-        ways = data.draw(st.sampled_from([2, 4]))
-        capacity = data.draw(st.sampled_from([8, 16]))
-        k = data.draw(st.integers(0, 40))
-        ids = np.array(
-            data.draw(st.lists(st.integers(0, 3 * capacity),
-                               min_size=k, max_size=k)),
-            dtype=np.int64,
-        )
-        ref = ScalarLRUCache(capacity, ways=ways)
-        want = ref.lookup(ids)
-        nsets = capacity // ways
-        tags = np.full((nsets, ways), -1, dtype=np.int64)
-        stamps = np.zeros((nsets, ways), dtype=np.int64)
-        hits, evictions, _ = _fns(tier)["lru_replay"](
-            ids, tags, stamps, 0, nsets, ways)
-        np.testing.assert_array_equal(hits, want)
-        assert int(evictions) == ref.stats.evictions
-
 
 END_TO_END_CONFIGS = (
     AmstConfig.full(4, cache_vertices=16),
@@ -237,39 +42,39 @@ END_TO_END_CONFIGS = (
 )
 
 
+@contextmanager
+def _tier(name):
+    """Build the simulator's caches from the ``name`` tier's models."""
+    assert name == "python"
+    with mock.patch.object(state_mod, "LRUCache", ScalarLRUCache):
+        yield
+
+
 @pytest.mark.parametrize("tier", TIERS)
 class TestEndToEndIdentity:
     @given(g=graphs(), cfg=st.sampled_from(END_TO_END_CONFIGS))
     @RUNS
     def test_full_run(self, tier, g, cfg):
-        ref = Amst(cfg.with_(backend="numpy")).run(g)
-        got = Amst(cfg.with_(backend=tier)).run(g)
+        ref = Amst(cfg).run(g)
+        with _tier(tier):
+            got = Amst(cfg).run(g)
+        if cfg.lru_cache and cfg.use_hdc:
+            cache = got.state.parent_cache
+            assert isinstance(getattr(cache, "_inner", cache),
+                              ScalarLRUCache)
         np.testing.assert_array_equal(
             got.result.edge_ids, ref.result.edge_ids)
         assert got.result.total_weight == ref.result.total_weight
         assert got.result.num_components == ref.result.num_components
         assert got.report.total_cycles == ref.report.total_cycles
         assert got.report.dram_blocks == ref.report.dram_blocks
+        assert len(got.log.iterations) == len(ref.log.iterations)
         for a, b in zip(got.log.iterations, ref.log.iterations):
             assert a.counts == b.counts
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_golden_bytes(self, tier, name):
         blessed = (golden_dir() / f"{name}.json").read_text()
-        record = compute_golden_record(name, backend=tier)
+        with _tier(tier):
+            record = compute_golden_record(name)
         assert serialize_record(record) == blessed
-
-
-class TestVerifyCLI:
-    def test_verify_case_with_backend(self, capsys):
-        # resolves to the compiled tier when numba is importable and
-        # warn-once falls back otherwise — either way the bytes match
-        assert main(["verify", "--case", "paper-full",
-                     "--backend", "numba"]) == 0
-        out = capsys.readouterr().out
-        assert "ok" in out
-
-    def test_verify_case_python_tier(self, capsys):
-        assert main(["verify", "--case", "dup-forest-full",
-                     "--backend", "python"]) == 0
-        assert "ok" in capsys.readouterr().out
