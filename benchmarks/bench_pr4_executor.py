@@ -42,7 +42,7 @@ import numpy as np
 from repro.bench import RunCache, load
 from repro.bench.benchio import write_bench_json
 from repro.core import AmstConfig, run_scale_out
-from repro.core.scale_out import _partition_edges, partition_vertices
+from repro.fabric.partition import _partition_edges, partition_vertices
 from repro.verify.oracle import run_oracle
 
 

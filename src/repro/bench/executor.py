@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import inspect
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -151,6 +150,9 @@ def execute(
             with tel.spans.span(f"task:{t.key}", category="task"):
                 out.append(run_task(t))
         return out
+    # imported here: `import repro.cli` must not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         if tel is None:
             futures = [

@@ -316,8 +316,7 @@ def _cmd_scaleout_body(args: argparse.Namespace, tel) -> int:
             graph_fingerprint=graph_fingerprint(g),
             config_fingerprint=config_fingerprint(cfg),
         )
-    r = run_scale_out(g, args.cards, cfg, strategy=args.strategy,
-                      partitioner=args.partitioner,
+    r = run_scale_out(g, args.cards, cfg, partitioner=args.partitioner,
                       net_profile=args.net_profile, jobs=args.jobs)
     rep = r.report
     if tel is not None:
@@ -895,13 +894,10 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--dataset", default="CF",
                     help="Table I tag (EF/GD/CD/CL/RC/RP/RT/UR/CF/UU)")
     po.add_argument("--cards", type=int, default=4)
-    po.add_argument("--partitioner", default=None,
+    po.add_argument("--partitioner", default="range",
                     choices=list(list_partitioners()),
                     help="fabric partitioner (default: range; "
                          "docs/SCALE_OUT.md)")
-    po.add_argument("--strategy", default=None,
-                    choices=["block", "hash"],
-                    help="legacy alias for --partitioner range/hash")
     po.add_argument("--net-profile", default="pcie3",
                     choices=list(list_net_profiles()),
                     help="inter-card network model for the modelled "

@@ -11,20 +11,15 @@ from .selfcheck import (
     check_report_consistency,
     check_state_invariants,
 )
-from .scale_out import (
-    ScaleOutReport,
-    ScaleOutResult,
-    partition_vertices,
-    run_scale_out,
-    validate_num_cards,
-)
+from ..fabric.partition import partition_vertices, validate_num_cards
+from .scale_out import ScaleOutReport, ScaleOutResult, run_scale_out
 from .sorting_network import (
     SortingNetwork,
     bitonic_sort_pairs,
     bitonic_stage_count,
 )
 from .state import SimState
-from .timing import HostTimers, TimedSubsystem, format_host_profile
+from .timing import TimedSubsystem, fold_host_timing, format_host_profile
 from .trace import (
     IterationTrace,
     format_profile,
@@ -56,8 +51,8 @@ __all__ = [
     "bitonic_sort_pairs",
     "bitonic_stage_count",
     "SimState",
-    "HostTimers",
     "TimedSubsystem",
+    "fold_host_timing",
     "format_host_profile",
     "IterationTrace",
     "trace_run",

@@ -21,7 +21,6 @@ Typical use::
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from ..graph.csr import CSRGraph
 from ..graph.preprocess import PreprocessResult, preprocess
 from ..mst.result import MSTResult
 from ..obs.context import current_telemetry
+from ..obs.spans import SpanRecorder
 from .config import AmstConfig
 from .compressing import run_compressing
 from .events import EventLog
@@ -38,7 +38,12 @@ from .perf import PerfReport, build_report
 from .rape import run_rape
 from .selfcheck import check_report_consistency
 from .state import SimState
-from .timing import CACHE_METHODS, HBM_METHODS, TimedSubsystem
+from .timing import (
+    CACHE_METHODS,
+    HBM_METHODS,
+    TimedSubsystem,
+    fold_host_timing,
+)
 
 __all__ = ["Amst", "AmstOutput"]
 
@@ -83,40 +88,37 @@ class Amst:
         have been produced from the same graph with reordering and edge
         sorting consistent with the configuration.
 
-        ``telemetry`` (a :class:`~repro.obs.telemetry.Telemetry`, or the
-        ambient one installed with :func:`repro.obs.activate` when None)
-        records a run → iteration → stage → subsystem span tree and is
-        strictly read-only: the result is byte-identical with telemetry
-        on or off.
+        Every run records a run → iteration → stage → subsystem span
+        tree; ``report.extra["host_timing"]`` is its fold
+        (``timing.py``).  The spans go to ``telemetry`` (a
+        :class:`~repro.obs.telemetry.Telemetry`, or the ambient one
+        installed with :func:`repro.obs.activate` when None) and to a
+        private recorder without one.  Recording is strictly
+        read-only: the result is byte-identical with telemetry on or
+        off.
         """
         tel = telemetry if telemetry is not None else current_telemetry()
-        run_scope = (
-            tel.spans.span(
-                "amst.run", category="run",
-                n=graph.num_vertices, m=graph.num_edges,
-                parallelism=self.config.parallelism,
-            )
-            if tel is not None
-            else nullcontext()
-        )
-        with run_scope:
-            return self._run(graph, preprocessed, max_iterations, tel)
+        spans = tel.spans if tel is not None else SpanRecorder()
+        with spans.span(
+            "amst.run", category="run",
+            n=graph.num_vertices, m=graph.num_edges,
+            parallelism=self.config.parallelism,
+        ) as run_span:
+            return self._run(graph, preprocessed, max_iterations, spans,
+                             run_span.id)
 
     def _run(
         self,
         graph: CSRGraph,
         preprocessed: PreprocessResult | None,
         max_iterations: int | None,
-        tel,
+        spans: SpanRecorder,
+        run_id: int,
     ) -> AmstOutput:
         cfg = self.config
+        first_span = len(spans.spans)
         if preprocessed is None:
-            pre_scope = (
-                tel.spans.span("preprocess", category="stage")
-                if tel is not None
-                else nullcontext()
-            )
-            with pre_scope:
+            with spans.span("preprocess", category="stage"):
                 preprocessed = preprocess(
                     graph,
                     reorder="sort" if cfg.use_hdc else "identity",
@@ -124,14 +126,15 @@ class Amst:
                 )
         g = preprocessed.graph
         state = SimState.initial(g, cfg)
-        timers = state.timers
-        # Route cache/HBM calls through timing proxies so the host
-        # profile attributes simulator time per subsystem (timing.py).
+        # Route cache/HBM calls through span proxies so the host profile
+        # attributes simulator time per subsystem (timing.py).
+        raw = (state.parent_cache, state.minedge_cache, state.hbm)
+        state.spans = spans
         state.parent_cache = TimedSubsystem(
-            state.parent_cache, timers, "sub.cache.parent", CACHE_METHODS)
+            state.parent_cache, spans, "sub.cache.parent", CACHE_METHODS)
         state.minedge_cache = TimedSubsystem(
-            state.minedge_cache, timers, "sub.cache.minedge", CACHE_METHODS)
-        state.hbm = TimedSubsystem(state.hbm, timers, "sub.hbm", HBM_METHODS)
+            state.minedge_cache, spans, "sub.cache.minedge", CACHE_METHODS)
+        state.hbm = TimedSubsystem(state.hbm, spans, "sub.hbm", HBM_METHODS)
         log = EventLog()
         mst_chunks: list[np.ndarray] = []
         total_weight = 0.0
@@ -141,27 +144,11 @@ class Amst:
             else 2 * max(g.num_vertices, 1)
         )
 
-        # Stage scopes: a plain timer section without telemetry, a stage
-        # span wrapping the same section (plus synthetic per-subsystem
-        # child spans) with it.  Either way the simulated work is
-        # untouched — telemetry only observes.
-        def stage(name):
-            if tel is not None:
-                return tel.stage(timers, name)
-            return timers.section(name)
-
         completed = 0
         while state.iteration < limit:
             ev = log.new_iteration()
-            iter_scope = (
-                tel.spans.span(
-                    f"iteration {ev.iteration}", category="iteration",
-                )
-                if tel is not None
-                else nullcontext()
-            )
-            with iter_scope:
-                with stage("stage.fm"):
+            with spans.span(f"iteration {ev.iteration}", category="iteration"):
+                with spans.span("stage.fm", category="stage"):
                     found = run_finding(state, ev)
                 ev.parent_cache_utilization = (
                     state.parent_cache.utilization())
@@ -174,13 +161,13 @@ class Amst:
                     # traffic are real) but does not count as a Borůvka
                     # iteration.
                     break
-                with stage("stage.rm_am"):
+                with spans.span("stage.rm_am", category="stage"):
                     rape = run_rape(state, ev)
                 mst_chunks.append(rape.appended_eids)
                 total_weight += rape.appended_weight
                 state.iteration += 1
                 completed += 1
-                with stage("stage.cm"):
+                with spans.span("stage.cm", category="stage"):
                     run_compressing(state, ev, rape.hooked_roots)
                 state.reset_minedge()
                 ev.parent_cache_utilization = (
@@ -208,7 +195,12 @@ class Amst:
         if cfg.self_check:
             state.check_invariants(log)
             check_report_consistency(log, report)
-        report.extra["host_timing"] = timers.snapshot()
+        # Detach the recorder: it does not pickle, and AmstOutput must
+        # (pool workers return it).
+        state.parent_cache, state.minedge_cache, state.hbm = raw
+        state.spans = None
+        report.extra["host_timing"] = fold_host_timing(
+            spans.spans[first_span:], run_id)
         return AmstOutput(
             result=result,
             report=report,

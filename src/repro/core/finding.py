@@ -204,7 +204,7 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
     ev.add("fm.candidates", cand_comp.size)
 
     # ---- sorting network + MinEdge writer ---------------------------------
-    with state.timers.section("sub.network"):
+    with state.subsystem_span("sub.network"):
         _commit_minedge(state, ev, cand_comp, cand_w, cand_eid, cand_target)
 
     comps = np.unique(cand_comp)

@@ -1,4 +1,4 @@
-"""Multi-card scale-out: the compatibility front-end over ``repro.fabric``.
+"""Multi-card scale-out: ``run_scale_out`` over ``repro.fabric``.
 
 The paper's motivation is graphs that outgrow one card (UK-Union's 9.4B
 edges exceed the U280's 8 GB HBM).  The remedy is the two-phase
@@ -10,15 +10,9 @@ The actual execution lives in :mod:`repro.fabric` — per-card worker
 processes over shm-published shards, typed inter-card messages in
 synchronization rounds, pluggable partitioners, and an explicit network
 model.  This module keeps the historical ``run_scale_out`` surface:
-
-* ``strategy="block"/"hash"`` still work (legacy aliases for the
-  ``"range"``/``"hash"`` partitioners) but emit a ``DeprecationWarning``;
-  new callers pass ``partitioner=`` / ``net_profile=`` directly.
-* :class:`ScaleOutReport` keeps its original fields and adds the
-  fabric's message/round/network figures with defaults, so recorded
-  manifests and the benchmark-trajectory scripts keep reading it.
-* ``partition_vertices`` / ``_partition_edges`` re-export from
-  :mod:`repro.fabric.partition` for the PR-4 benchmark scripts.
+:class:`ScaleOutReport` keeps its original fields and adds the fabric's
+message/round/network figures with defaults, so recorded manifests and
+the benchmark-trajectory scripts keep reading it.
 
 ``exchange_seconds`` is now the *modelled reduce-phase network time*
 under the chosen profile (rounds of forest/boundary/merge messages)
@@ -29,38 +23,16 @@ the host→card shard distribution separately.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
-from ..fabric.messages import EDGE_RECORD_BYTES as _EDGE_RECORD_BYTES  # noqa: F401
-from ..fabric.netmodel import NET_PROFILES
-from ..fabric.partition import (  # noqa: F401  (re-exported for back-compat)
-    _partition_edges,
-    partition_vertices,
-    validate_num_cards,
-)
-from ..fabric.worker import card_task as _fabric_card_task
-from ..fabric.worker import edge_subgraph as _edge_subgraph  # noqa: F401
+from ..fabric.partition import validate_num_cards
 from ..graph.csr import CSRGraph
 from ..mst.result import MSTResult
 from ..obs.context import current_telemetry
 from .accelerator import Amst, AmstOutput
 from .config import AmstConfig
 
-__all__ = ["ScaleOutReport", "ScaleOutResult", "run_scale_out",
-           "partition_vertices", "validate_num_cards"]
-
-# historical constant, kept for the benchmark-trajectory scripts; the
-# live number now comes from the selected NetProfile
-_PCIE_BYTES_PER_S = NET_PROFILES["pcie3"].bandwidth_bytes_per_s
-
-#: legacy ``strategy=`` values -> fabric partitioner names
-_STRATEGY_ALIASES = {"block": "range", "hash": "hash"}
-
-
-def _local_card_task(bundle, start, stop, num_vertices, cfg):
-    """Pre-fabric worker entry point (kept for external callers)."""
-    return _fabric_card_task(bundle, start, stop, num_vertices, cfg)
+__all__ = ["ScaleOutReport", "ScaleOutResult", "run_scale_out"]
 
 
 @dataclass(frozen=True)
@@ -108,35 +80,20 @@ def run_scale_out(
     num_cards: int,
     config: AmstConfig | None = None,
     *,
-    strategy: str | None = None,
-    partitioner: str | None = None,
+    partitioner: str = "range",
     net_profile: str = "pcie3",
     jobs: int = 1,
 ) -> ScaleOutResult:
     """Compute the minimum spanning forest across ``num_cards`` cards.
 
     ``partitioner`` selects a registered strategy (``range``, ``hash``,
-    ``edge-cut``, ``grid2d``); the legacy ``strategy="block"/"hash"``
-    spelling maps onto ``range``/``hash`` and warns with
-    ``DeprecationWarning``.  ``jobs > 1`` fans the
-    per-card runs across worker processes; the forest, the modelled
-    report and every event count are byte-identical to the serial run —
-    only ``report.host_phase1_seconds`` (real wall clock) differs.
+    ``edge-cut``, ``grid2d``).  ``jobs > 1`` fans the per-card runs
+    across worker processes; the forest, the modelled report and every
+    event count are byte-identical to the serial run — only
+    ``report.host_phase1_seconds`` (real wall clock) differs.
     """
     cfg = config if config is not None else AmstConfig.full()
     num_cards = validate_num_cards(num_cards)
-    if partitioner is None:
-        if strategy is not None:
-            warnings.warn(
-                "run_scale_out(strategy=...) is deprecated; "
-                "use partitioner= instead",
-                DeprecationWarning, stacklevel=2)
-            partitioner = _STRATEGY_ALIASES.get(strategy, strategy)
-        else:
-            partitioner = "range"
-    elif strategy is not None:
-        raise ValueError(
-            "pass either the legacy strategy= or partitioner=, not both")
     tel = current_telemetry()
 
     if num_cards == 1:

@@ -23,7 +23,8 @@ stale hop (Fig 7 Step ④'s freshness check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from ..memory.direct_cache import DirectHDVCache
 from ..memory.hash_cache import HashHDVCache
 from ..memory.hbm import HBMModel
 from ..memory.lru_cache import LRUCache
+from ..obs.spans import SpanRecorder
 from .config import AmstConfig
-from .timing import HostTimers
 
 __all__ = ["SimState"]
 
@@ -65,7 +66,8 @@ class SimState:
     minedge_cache: object
     hbm: HBMModel
     iteration: int = 0
-    timers: HostTimers = field(default_factory=HostTimers)
+    #: the running ``Amst.run``'s span recorder (detached on return)
+    spans: SpanRecorder | None = None
 
     def __setattr__(self, name: str, value) -> None:
         # Rebinding the Parent array (the Compressing Module does this
@@ -94,6 +96,12 @@ class SimState:
             hbm=HBMModel(),
         )
 
+    def subsystem_span(self, name: str):
+        """A ``sub.*`` span on the run's recorder (none when detached)."""
+        if self.spans is None:
+            return nullcontext()
+        return self.spans.span(name, "subsystem")
+
     # ------------------------------------------------------------------
     def resolve_roots(self) -> np.ndarray:
         """True component root of every vertex (chases frozen chains).
@@ -106,7 +114,7 @@ class SimState:
         """
         cached = self._roots_cache
         if cached is None:
-            with self.timers.section("sub.resolve_roots"):
+            with self.subsystem_span("sub.resolve_roots"):
                 cached = self._recompute_roots()
             cached.setflags(write=False)
             object.__setattr__(self, "_roots_cache", cached)
@@ -167,7 +175,7 @@ class SimState:
         """
         from .selfcheck import check_state_invariants
 
-        with self.timers.section("sub.self_check"):
+        with self.subsystem_span("sub.self_check"):
             check_state_invariants(self, log)
 
     def reset_minedge(self) -> None:

@@ -7,28 +7,31 @@ spends in each part of a run on the host.  Every performance PR against
 the simulator should quote these numbers before/after (see
 ``docs/PERFORMANCE.md``).
 
-Two granularities:
+There is one timing primitive, :meth:`repro.obs.spans.SpanRecorder.span`.
+:class:`~repro.core.accelerator.Amst` always records its run → iteration
+→ stage → subsystem span tree (into the active telemetry's recorder, or
+a private one), at two granularities:
 
 * **per stage** — ``stage.fm`` (Finding), ``stage.rm_am`` (the merged
-  Removing/Appending pass) and ``stage.cm`` (Compressing), recorded by
-  :class:`~repro.core.accelerator.Amst` around each module call;
+  Removing/Appending pass) and ``stage.cm`` (Compressing), opened around
+  each module call;
 * **per subsystem** — ``sub.cache.parent`` / ``sub.cache.minedge`` /
-  ``sub.hbm`` via :class:`TimedSubsystem` proxies wrapped around the
-  cache and HBM models, plus ``sub.network`` (the sorting-network /
-  MinEdge-writer commit) and ``sub.resolve_roots`` recorded inline.
+  ``sub.hbm``, one span per call through :class:`TimedSubsystem`
+  proxies wrapped around the cache and HBM models, plus ``sub.network``
+  (the sorting-network / MinEdge-writer commit), ``sub.resolve_roots``
+  and ``sub.self_check`` opened inline.
 
-Timers are plain wall-clock counters (``time.perf_counter``) accumulated
-per name; the snapshot lands in ``PerfReport.extra["host_timing"]`` and
-``amst run --profile-host`` renders it with :func:`format_host_profile`.
+The host profile is a fold of that tree: :func:`fold_host_timing` sums
+the stage/subsystem spans of one ``amst.run`` subtree into
+``PerfReport.extra["host_timing"]``, and ``amst run --profile-host``
+renders it with :func:`format_host_profile`.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from ..obs.spans import Span, SpanRecorder
 
-__all__ = ["HostTimers", "TimedSubsystem", "format_host_profile"]
+__all__ = ["TimedSubsystem", "fold_host_timing", "format_host_profile"]
 
 #: cache methods whose batched calls are attributed to the cache subsystem
 CACHE_METHODS = ("lookup", "write", "contains", "mark_dead")
@@ -36,52 +39,20 @@ CACHE_METHODS = ("lookup", "write", "contains", "mark_dead")
 HBM_METHODS = ("access_sequential", "access_random", "access_blocks")
 
 
-@dataclass
-class HostTimers:
-    """Named wall-clock accumulators (seconds + call counts)."""
-
-    seconds: dict[str, float] = field(default_factory=dict)
-    calls: dict[str, int] = field(default_factory=dict)
-
-    @contextmanager
-    def section(self, name: str):
-        """Time a ``with`` block under ``name`` (re-entrant across calls)."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - t0)
-
-    def add(self, name: str, elapsed: float) -> None:
-        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    def total(self, prefix: str = "") -> float:
-        return sum(v for k, v in self.seconds.items() if k.startswith(prefix))
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """Plain-dict export (what ``PerfReport.extra`` carries)."""
-        return {
-            name: {"seconds": self.seconds[name],
-                   "calls": self.calls.get(name, 0)}
-            for name in sorted(self.seconds)
-        }
-
-
 class TimedSubsystem:
-    """Transparent proxy timing selected methods of a wrapped object.
+    """Transparent proxy opening a span around selected methods.
 
     Every attribute is forwarded to the wrapped instance; the methods
-    named in ``methods`` are returned wrapped in a timer section, so the
-    caches and the HBM model need no knowledge of profiling.  Cache/HBM
-    calls are already batched (one call per vector of ids), so the
-    per-call ``perf_counter`` overhead is negligible.
+    named in ``methods`` are returned wrapped in a ``subsystem`` span
+    called ``name``, so the caches and the HBM model need no knowledge
+    of profiling.  Cache/HBM calls are already batched (one call per
+    vector of ids), so the per-call span overhead is small.
     """
 
-    def __init__(self, inner, timers: HostTimers, name: str,
+    def __init__(self, inner, spans: SpanRecorder, name: str,
                  methods: tuple[str, ...]) -> None:
         self._inner = inner
-        self._timers = timers
+        self._spans = spans
         self._name = name
         self._methods = frozenset(methods)
 
@@ -90,34 +61,52 @@ class TimedSubsystem:
             # Never forward private/dunder probes: pickle interrogates
             # a freshly allocated (empty-dict) instance for __setstate__
             # before _inner exists, and forwarding would recurse forever.
-            # AmstOutput must pickle — parallel scale-out workers return
-            # it across the process pool.
             raise AttributeError(attr)
         value = getattr(self._inner, attr)
         if attr in self._methods:
-            timers, name = self._timers, self._name
+            spans, name = self._spans, self._name
 
             def timed(*args, **kwargs):
-                t0 = time.perf_counter()
-                try:
+                with spans.span(name, "subsystem"):
                     return value(*args, **kwargs)
-                finally:
-                    timers.add(name, time.perf_counter() - t0)
 
             return timed
         return value
 
 
-def format_host_profile(timers, *, counts_only: bool = False) -> str:
+def fold_host_timing(spans: list[Span], root_id: int) -> dict[str, dict]:
+    """Sum the ``stage.*`` / ``sub.*`` spans under ``root_id``.
+
+    Returns ``{name: {"seconds", "calls"}}`` sorted by name, the form
+    ``PerfReport.extra["host_timing"]`` carries.  Only descendants of
+    the root span count, so other spans sharing the recorder (another
+    run, a CLI command) never mix in.  A span closes after all of its
+    children, so walking the finished list backwards meets every parent
+    before its children.
+    """
+    inside = {root_id}
+    timing: dict[str, dict] = {}
+    for s in reversed(spans):
+        if s.parent_id not in inside:
+            continue
+        inside.add(s.id)
+        if s.name.startswith(("stage.", "sub.")):
+            entry = timing.setdefault(s.name, {"seconds": 0.0, "calls": 0})
+            entry["seconds"] += s.dur_us / 1e6
+            entry["calls"] += 1
+    return dict(sorted(timing.items()))
+
+
+def format_host_profile(timing: dict, *, counts_only: bool = False) -> str:
     """Fixed-width table of host time per stage and subsystem.
 
-    Accepts either a :class:`HostTimers` or its :meth:`~HostTimers.snapshot`
-    dict (the form ``PerfReport.extra["host_timing"]`` carries).  Stage
-    rows sum to (roughly) the simulated part of the run; subsystem rows
-    are attributions *within* the stages, so the two groups each show
+    ``timing`` is a :func:`fold_host_timing` dict (the form
+    ``PerfReport.extra["host_timing"]`` carries).  Stage rows sum to
+    (roughly) the simulated part of the run; subsystem rows are
+    attributions *within* the stages, so the two groups each show
     their own share column and do not double-count.
 
-    The rendering is deterministic: rows are sorted by timer name (an
+    The rendering is deterministic: rows are sorted by name (an
     explicit stable sort, independent of insertion order) and every
     float is printed in a fixed-precision, fixed-width column.  With
     ``counts_only=True`` the wall-clock columns are dropped entirely and
@@ -125,12 +114,6 @@ def format_host_profile(timers, *, counts_only: bool = False) -> str:
     workload produce byte-identical output — the form the CLI and the
     determinism test diff.
     """
-    if isinstance(timers, dict):
-        snap = timers
-        timers = HostTimers(
-            seconds={k: v["seconds"] for k, v in snap.items()},
-            calls={k: int(v.get("calls", 0)) for k, v in snap.items()},
-        )
     if counts_only:
         lines = ["host profile (call counts only)",
                  "-------------------------------"]
@@ -139,14 +122,15 @@ def format_host_profile(timers, *, counts_only: bool = False) -> str:
                  "--------------------------------------------"]
     for prefix, title in (("stage.", "per stage"), ("sub.", "per subsystem")):
         rows = sorted(
-            (k, v) for k, v in timers.seconds.items() if k.startswith(prefix)
+            (k, v) for k, v in timing.items() if k.startswith(prefix)
         )
         if not rows:
             continue
-        group_total = sum(v for _, v in rows)
+        group_total = sum(v["seconds"] for _, v in rows)
         lines.append(f"{title}:")
-        for name, secs in rows:
-            calls = int(timers.calls.get(name, 0))
+        for name, entry in rows:
+            secs = entry["seconds"]
+            calls = int(entry.get("calls", 0))
             if counts_only:
                 lines.append(f"  {name:<22s} {calls:>9d} calls")
                 continue

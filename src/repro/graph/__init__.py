@@ -33,15 +33,6 @@ from .generators import (
 )
 from .io import load_edgelist, load_npz, save_edgelist, save_npz
 from .preprocess import PreprocessResult, is_weight_sorted, preprocess
-from .shm import (
-    GraphStore,
-    SharedArrayBundle,
-    SharedGraphHandle,
-    attach_graph,
-    resolve_arrays,
-    resolve_graph,
-    shm_available,
-)
 from .reorder import ReorderResult, dbg, identity_order, sort_by_degree
 from .stats import (
     GraphSummary,
@@ -83,13 +74,6 @@ __all__ = [
     "save_npz",
     "preprocess",
     "PreprocessResult",
-    "GraphStore",
-    "SharedArrayBundle",
-    "SharedGraphHandle",
-    "attach_graph",
-    "resolve_arrays",
-    "resolve_graph",
-    "shm_available",
     "is_weight_sorted",
     "ReorderResult",
     "dbg",

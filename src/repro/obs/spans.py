@@ -9,13 +9,15 @@ trace-event JSON that ``chrome://tracing`` and Perfetto load directly
 (``"X"`` complete events on ``pid``/``tid`` lanes, ``"M"`` metadata
 events naming the lanes).
 
-Timestamps are **epoch microseconds** (``time.time_ns() // 1000``), not
-``perf_counter``: pool workers have their own monotonic origins, and an
-epoch base is what lets a worker's spans land on the parent's timeline
-without clock translation.  Workers ship their finished span lists back
-through the executor (see ``repro.bench.executor``); span ids are
-unique per ``(pid, recorder)``, so merged traces key spans by
-``(pid, id)``.
+Timestamps are **epoch microseconds** as floats (``time.time_ns() /
+1000``), not ``perf_counter``: pool workers have their own monotonic
+origins, and an epoch base is what lets a worker's spans land on the
+parent's timeline without clock translation.  The fraction keeps
+sub-µs precision, so summing many µs-scale subsystem spans (the host
+profile does) loses nothing to whole-µs truncation.  Workers ship
+their finished span lists back through the executor (see
+``repro.bench.executor``); span ids are unique per ``(pid,
+recorder)``, so merged traces key spans by ``(pid, id)``.
 
 :func:`validate_span_tree` is the well-formedness check the tests and
 the CI schema gate use: per ``(pid, tid)`` lane, spans must nest
@@ -44,9 +46,9 @@ __all__ = [
 _NESTED_CATEGORIES = frozenset({"iteration", "stage", "subsystem"})
 
 
-def now_us() -> int:
-    """Epoch microseconds (cross-process comparable)."""
-    return time.time_ns() // 1000
+def now_us() -> float:
+    """Epoch microseconds (cross-process comparable, sub-µs precision)."""
+    return time.time_ns() / 1000
 
 
 # Span ids are allocated from one process-global counter, not per
@@ -73,14 +75,14 @@ class Span:
     parent_id: int | None
     name: str
     category: str
-    start_us: int
-    dur_us: int
+    start_us: float
+    dur_us: float
     pid: int
     tid: int
     args: tuple[tuple[str, object], ...] = ()
 
     @property
-    def end_us(self) -> int:
+    def end_us(self) -> float:
         return self.start_us + self.dur_us
 
 
@@ -90,7 +92,7 @@ class _OpenSpan:
     __slots__ = ("id", "name", "category", "start_us", "args")
 
     def __init__(self, id: int, name: str, category: str,
-                 start_us: int, args: dict) -> None:
+                 start_us: float, args: dict) -> None:
         self.id = id
         self.name = name
         self.category = category
@@ -131,37 +133,11 @@ class SpanRecorder:
                 name=open_span.name,
                 category=open_span.category,
                 start_us=open_span.start_us,
-                dur_us=max(end - open_span.start_us, 0),
+                dur_us=max(end - open_span.start_us, 0.0),
                 pid=os.getpid(),
                 tid=threading.get_native_id(),
                 args=tuple(sorted(open_span.args.items())),
             ))
-
-    def add_complete(
-        self, name: str, category: str, start_us: int, dur_us: int,
-        *, parent_id: int | None = None, **args,
-    ) -> Span:
-        """Record an already-timed interval (synthetic subsystem spans).
-
-        Parented to the innermost open span unless ``parent_id`` is
-        given explicitly.
-        """
-        stack = self._stack()
-        if parent_id is None and stack:
-            parent_id = stack[-1].id
-        span = Span(
-            id=_alloc_id(),
-            parent_id=parent_id,
-            name=name,
-            category=category,
-            start_us=int(start_us),
-            dur_us=max(int(dur_us), 0),
-            pid=os.getpid(),
-            tid=threading.get_native_id(),
-            args=tuple(sorted(args.items())),
-        )
-        self.spans.append(span)
-        return span
 
     def extend(self, spans: list[Span]) -> None:
         """Merge finished spans shipped back from a worker process."""

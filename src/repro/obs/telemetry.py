@@ -7,7 +7,7 @@ it owns the :class:`~repro.obs.context.RunContext`, a
 repo's existing counting surfaces into the registry:
 
 * :meth:`Telemetry.record_output` — event ledger, cache stats, host
-  timers and the performance report of one ``AmstOutput``;
+  profile and the performance report of one ``AmstOutput``;
 * :meth:`Telemetry.record_runcache` — the content-addressed run cache's
   public ``stats()`` snapshot;
 * :meth:`Telemetry.record_shm` — the shared-memory store's
@@ -26,7 +26,6 @@ one lane per process).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from contextlib import contextmanager
 
 from .context import RunContext, new_run_context
 from .metrics import MetricsRegistry
@@ -64,53 +63,14 @@ class Telemetry:
 
         self.root_pid = os.getpid()
 
-    # -- span helpers --------------------------------------------------
-    @contextmanager
-    def stage(self, timers, name: str):
-        """A stage span wrapping ``timers.section(name)``.
-
-        After the stage body finishes (the span still open), the
-        per-subsystem ``sub.*`` wall-clock *deltas* accumulated inside
-        the stage are synthesized into child spans laid out
-        back-to-back from the stage start.  Individual cache/HBM calls
-        are far too fine to record one span each; the per-stage
-        aggregate is the same attribution ``--profile-host`` prints,
-        now visible on the timeline.
-        """
-        before = {
-            k: v for k, v in timers.seconds.items() if k.startswith("sub.")
-        }
-        from .spans import now_us
-
-        with self.spans.span(name, category="stage") as open_span:
-            with timers.section(name):
-                yield
-            cursor = open_span.start_us
-            # clamp synthetic children to "now": timer deltas come from
-            # perf_counter while span timestamps are epoch-µs, and the
-            # two clocks disagree by enough at ms scale that unclamped
-            # children could end after the stage span does (the
-            # validate_span_tree flake PR 7 fixed)
-            limit = now_us()
-            for key in sorted(
-                k for k in timers.seconds if k.startswith("sub.")
-            ):
-                delta = timers.seconds[key] - before.get(key, 0.0)
-                if delta <= 0.0:
-                    continue
-                dur = min(int(delta * 1e6), limit - cursor)
-                if dur <= 0:
-                    break
-                self.spans.add_complete(key, "subsystem", cursor, dur)
-                cursor += dur
-
     # -- adapters over existing counting surfaces ----------------------
     def record_output(self, out) -> None:
         """Fold one finished ``AmstOutput`` into the metrics tree.
 
         Namespaces: ``sim.*`` (performance report), ``events.*`` (the
         ledger's grand totals), ``cache.parent.*`` / ``cache.minedge.*``
-        (cache-model counters) and ``host.*`` (wall-clock timers).
+        (cache-model counters) and ``host.*`` (the host profile, a fold
+        of the run's stage/subsystem spans).
         """
         import dataclasses
 

@@ -93,8 +93,8 @@ def _spans_from_trace(payload: dict) -> list[Span]:
                        if "parent_id" in args else None),
             name=str(ev.get("name", "")),
             category=str(ev.get("cat", "")),
-            start_us=int(ev["ts"]),
-            dur_us=int(ev.get("dur", 0)),
+            start_us=float(ev["ts"]),
+            dur_us=float(ev.get("dur", 0)),
             pid=int(ev["pid"]),
             tid=int(ev["tid"]),
         ))

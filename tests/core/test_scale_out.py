@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import AmstConfig, partition_vertices, run_scale_out
-from repro.core.scale_out import _partition_edges
+from repro.core import AmstConfig, run_scale_out
+from repro.fabric.partition import _partition_edges, partition_vertices
 from repro.graph import from_edges, rmat, road_lattice
 from repro.mst import kruskal, validate_mst
 
@@ -100,11 +100,11 @@ class TestPartitionEdges:
 
 class TestScaleOutCorrectness:
     @pytest.mark.parametrize("cards", [1, 2, 4])
-    @pytest.mark.parametrize("strategy", ["block", "hash"])
-    def test_exact_forest_weight(self, cards, strategy):
+    @pytest.mark.parametrize("partitioner", ["range", "hash"])
+    def test_exact_forest_weight(self, cards, partitioner):
         g = rmat(9, 8, rng=1)
         ref = kruskal(g)
-        r = run_scale_out(g, cards, CFG, strategy=strategy)
+        r = run_scale_out(g, cards, CFG, partitioner=partitioner)
         validate_mst(g, r.result, reference=ref)
 
     def test_disconnected_graph(self):
@@ -127,13 +127,13 @@ class TestScaleOutCorrectness:
         assert r.report.num_cards == 2
         assert len(r.report.local_outputs) == 2
 
-    @pytest.mark.parametrize("strategy", ["block", "hash"])
-    def test_more_cards_than_vertices(self, strategy):
+    @pytest.mark.parametrize("partitioner", ["range", "hash"])
+    def test_more_cards_than_vertices(self, partitioner):
         u = np.array([0, 1, 2], dtype=np.int64)
         v = np.array([1, 2, 3], dtype=np.int64)
         w = np.array([1.0, 2.0, 3.0])
         g = from_edges(4, u, v, w)
-        r = run_scale_out(g, 8, CFG, strategy=strategy)
+        r = run_scale_out(g, 8, CFG, partitioner=partitioner)
         validate_mst(g, r.result, reference=kruskal(g))
         assert len(r.report.local_outputs) == 8
 
@@ -173,8 +173,8 @@ class TestScaleOutModel:
 
     def test_block_cuts_fewer_lattice_edges_than_hash(self):
         g = road_lattice(30, 30, rng=8)
-        block = run_scale_out(g, 4, CFG, strategy="block")
-        hashed = run_scale_out(g, 4, CFG, strategy="hash")
+        block = run_scale_out(g, 4, CFG, partitioner="range")
+        hashed = run_scale_out(g, 4, CFG, partitioner="hash")
         assert block.report.cut_edges < hashed.report.cut_edges
 
 
@@ -211,18 +211,8 @@ class TestCardCountValidation:
 
 
 class TestStrategyDeprecation:
-    """``strategy=`` still works but warns, verbatim, toward
-    ``partitioner=``; the replacement spelling stays silent."""
-
-    def test_strategy_warns_with_pinned_text(self):
-        g = road_lattice(4, 4, rng=0)
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"^run_scale_out\(strategy=\.\.\.\) is deprecated; "
-                  r"use partitioner= instead$",
-        ):
-            r = run_scale_out(g, 2, CFG, strategy="block")
-        assert r.report.num_cards == 2
+    """The legacy ``strategy=`` alias is gone; ``partitioner=`` is the
+    one spelling and raises no ``DeprecationWarning``."""
 
     def test_partitioner_does_not_warn(self):
         import warnings
@@ -232,9 +222,3 @@ class TestStrategyDeprecation:
             warnings.simplefilter("error", DeprecationWarning)
             run_scale_out(g, 2, CFG, partitioner="range")
             run_scale_out(g, 2, CFG)
-
-    def test_strategy_and_partitioner_conflict(self):
-        g = road_lattice(4, 4, rng=0)
-        with pytest.raises(ValueError):
-            run_scale_out(g, 2, CFG, strategy="block",
-                          partitioner="block")

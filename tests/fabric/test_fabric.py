@@ -148,17 +148,6 @@ class TestNetworkAttachment:
 
 
 class TestScaleOutWrapper:
-    def test_legacy_strategy_maps_to_partitioner(self, lattice):
-        r = run_scale_out(lattice, 4, CFG, strategy="block")
-        assert r.report.partitioner == "range"
-        r = run_scale_out(lattice, 4, CFG, strategy="hash")
-        assert r.report.partitioner == "hash"
-
-    def test_strategy_and_partitioner_conflict(self, lattice):
-        with pytest.raises(ValueError, match="not both"):
-            run_scale_out(lattice, 4, CFG, strategy="block",
-                          partitioner="grid2d")
-
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
     def test_wrapper_forest_identity(self, lattice, partitioner):
         r = run_scale_out(lattice, 4, CFG, partitioner=partitioner)

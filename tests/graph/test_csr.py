@@ -47,6 +47,18 @@ class TestConstruction:
             CSRGraph(np.array([0, 1]), np.array([0]),
                      np.array([1.0, 2.0]), np.array([0]))
 
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            CSRGraph(np.array([0, 1, 2]), np.array([1, 0]),
+                     np.array([np.nan, np.nan]), np.array([0, 0]))
+
+    def test_nan_bridge_rejected_by_from_edges(self):
+        # NaN compares false both ways: accepted, this bridge makes the
+        # simulator return [0, 2] (weight 3.0) and Kruskal [0, 1, 2]
+        with pytest.raises(ValueError, match="NaN"):
+            from_edges(4, np.array([0, 1, 2]), np.array([1, 2, 3]),
+                       np.array([1.0, np.nan, 2.0]))
+
     def test_arrays_are_immutable(self):
         g = _simple()
         with pytest.raises(ValueError):

@@ -37,15 +37,6 @@ class TestRecorder:
         assert len({(s.pid, s.id) for s in merged}) == 2
         assert validate_span_tree(merged) == []
 
-    def test_add_complete_parents_to_open_span(self):
-        rec = SpanRecorder()
-        with rec.span("stage") as stage:
-            rec.add_complete("sub.hbm", "subsystem",
-                             stage.start_us, 0)
-        sub = rec.spans[0]
-        assert sub.parent_id == stage.id
-        assert validate_span_tree(rec.spans) == []
-
     def test_drain_clears(self):
         rec = SpanRecorder()
         with rec.span("x"):

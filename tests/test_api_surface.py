@@ -68,3 +68,26 @@ def test_public_classes_have_docstrings():
             obj = getattr(mod, symbol)
             if isinstance(obj, type):
                 assert obj.__doc__, f"{name}.{symbol} lacks a docstring"
+
+
+def test_cli_import_loads_no_multiprocessing():
+    """`import repro.cli` (every `amst client` call pays it) must not
+    pull in multiprocessing or the shared-memory graph store; only the
+    commands that fan out or publish graphs import them."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, repro.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'repro.graph.shm')"
+             " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

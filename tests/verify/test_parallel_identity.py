@@ -72,8 +72,8 @@ class TestScaleOutParallelIdentity:
     @POOLED
     @given(graphs(min_vertices=2, max_vertices=16, max_edges=40))
     def test_jobs_matches_serial_hash_strategy(self, g):
-        serial = run_scale_out(g, 2, CFG, strategy="hash")
-        pooled = run_scale_out(g, 2, CFG, strategy="hash", jobs=2)
+        serial = run_scale_out(g, 2, CFG, partitioner="hash")
+        pooled = run_scale_out(g, 2, CFG, partitioner="hash", jobs=2)
         _assert_scale_out_equal(serial, pooled)
 
 
