@@ -20,7 +20,14 @@ from repro.core.utils import (
 )
 from repro.graph import preprocess, rmat
 from repro.memory import LRUCache, ScalarLRUCache
-from repro.mst import boruvka, filter_kruskal, kruskal, prim
+from repro.mst import (
+    boruvka,
+    certify_minimum_forest,
+    filter_kruskal,
+    kruskal,
+    prim,
+    validate_mst,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +43,15 @@ def preprocessed(graph):
 def bench_kernel_kruskal(benchmark, graph):
     result = benchmark(kruskal, graph)
     assert result.num_edges > 0
+
+
+def bench_kernel_validate(benchmark, graph):
+    reference = kruskal(graph)
+    benchmark(validate_mst, graph, reference, reference=reference)
+
+
+def bench_kernel_certify(benchmark, graph):
+    benchmark(certify_minimum_forest, graph, kruskal(graph).edge_ids)
 
 
 def bench_kernel_filter_kruskal(benchmark, graph):

@@ -43,9 +43,9 @@ def main() -> None:
 
     # per-component statistics (real road networks are disconnected too)
     u, v, _ = network.edge_endpoints()
+    tree = out.result.edge_ids
     dsu = UnionFind(network.num_vertices)
-    for e in out.result.edge_ids:
-        dsu.union(int(u[e]), int(v[e]))
+    dsu.union_all(u[tree].tolist(), v[tree].tolist())
     labels = dsu.component_labels()
     _, sizes = np.unique(labels, return_counts=True)
     sizes = np.sort(sizes)[::-1]

@@ -436,11 +436,11 @@ class IncrementalMst:
         f = int(internal.size)
         self._forest_count = f
         a, b = dyn.eu[internal], dyn.ev[internal]
+        a_list, b_list = a.tolist(), b.tolist()
         dsu = UnionFind(n)
-        for x, y in zip(a.tolist(), b.tolist()):
-            if not dsu.union(x, y):
-                raise IncrementalError(
-                    "edge set handed to the forest rebuild has a cycle")
+        if len(dsu.union_all(a_list, b_list)) != f:
+            raise IncrementalError(
+                "edge set handed to the forest rebuild has a cycle")
         labels = dsu.component_labels()
         roots = np.unique(labels)
         if fresh_labels:
@@ -450,7 +450,7 @@ class IncrementalMst:
         self._comp_size = dict(zip(lab_all.tolist(), cnt_all.tolist()))
         self._tree_adj = [{} for _ in range(n)]
         adj = self._tree_adj
-        for x, y, e in zip(a.tolist(), b.tolist(), internal.tolist()):
+        for x, y, e in zip(a_list, b_list, internal.tolist()):
             adj[x][y] = e
             adj[y][x] = e
         # vectorized BFS from the representatives

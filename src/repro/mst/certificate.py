@@ -9,12 +9,15 @@ id, the strict form also certifies *the* canonical MST.)
 
 The check runs in O(m · h) where h is the forest height after rooting —
 fine for test-scale graphs, and entirely independent of every MST
-implementation in this repo (it never calls union-find).
+implementation in this repo: it never calls union-find.  Acyclicity and
+spanning come from the rooting BFS itself (edge count against tree
+count, and every graph edge inside one tree).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -25,24 +28,30 @@ __all__ = ["certify_minimum_forest", "max_edge_on_path"]
 
 def _root_forest(
     graph: CSRGraph, tree_edges: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[int], list[float], list[int], list[int]]:
     """BFS-root every tree of the forest.
 
-    Returns ``(parent, parent_weight, depth)`` where ``parent[v]`` is v's
-    parent in its rooted tree (or v itself for roots) and
-    ``parent_weight[v]`` the weight of the edge to the parent.
+    Returns ``(parent, parent_weight, depth, root)`` as lists indexed by
+    vertex: ``parent[v]`` is v's parent in its rooted tree (or v itself
+    for roots), ``parent_weight[v]`` the weight of the edge to the
+    parent and ``root[v]`` the root of v's tree.  The BFS visits every
+    vertex once, so on an edge set with a cycle it still terminates; the
+    caller detects the cycle by counting (see
+    :func:`certify_minimum_forest`).
     """
     n = graph.num_vertices
     u, v, w = graph.edge_endpoints()
+    tree = np.asarray(tree_edges, dtype=np.int64)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for e in tree_edges:
-        a, b, ww = int(u[e]), int(v[e]), float(w[e])
+    for a, b, ww in zip(u[tree].tolist(), v[tree].tolist(),
+                        w[tree].tolist()):
         adj[a].append((b, ww))
         adj[b].append((a, ww))
 
-    parent = np.arange(n, dtype=np.int64)
-    parent_weight = np.zeros(n, dtype=np.float64)
-    depth = np.full(n, -1, dtype=np.int64)
+    parent = list(range(n))
+    parent_weight = [0.0] * n
+    depth = [-1] * n
+    root = list(range(n))
     for start in range(n):
         if depth[start] >= 0:
             continue
@@ -50,21 +59,23 @@ def _root_forest(
         queue = deque([start])
         while queue:
             x = queue.popleft()
+            dy = depth[x] + 1
             for y, ww in adj[x]:
                 if depth[y] < 0:
-                    depth[y] = depth[x] + 1
+                    depth[y] = dy
                     parent[y] = x
                     parent_weight[y] = ww
+                    root[y] = start
                     queue.append(y)
-    return parent, parent_weight, depth
+    return parent, parent_weight, depth, root
 
 
 def max_edge_on_path(
     a: int,
     b: int,
-    parent: np.ndarray,
-    parent_weight: np.ndarray,
-    depth: np.ndarray,
+    parent: Sequence[int],
+    parent_weight: Sequence[float],
+    depth: Sequence[int],
 ) -> float:
     """Maximum edge weight on the rooted-forest path a..b.
 
@@ -72,19 +83,19 @@ def max_edge_on_path(
     different trees (no path).
     """
     best = float("-inf")
-    x, y = int(a), int(b)
+    x, y = a, b
     while depth[x] > depth[y]:
-        best = max(best, float(parent_weight[x]))
-        x = int(parent[x])
+        best = max(best, parent_weight[x])
+        x = parent[x]
     while depth[y] > depth[x]:
-        best = max(best, float(parent_weight[y]))
-        y = int(parent[y])
+        best = max(best, parent_weight[y])
+        y = parent[y]
     while x != y:
         if parent[x] == x and parent[y] == y:
             raise ValueError("endpoints are in different trees")
-        best = max(best, float(parent_weight[x]), float(parent_weight[y]))
-        x = int(parent[x])
-        y = int(parent[y])
+        best = max(best, parent_weight[x], parent_weight[y])
+        x = parent[x]
+        y = parent[y]
     return best
 
 
@@ -93,21 +104,30 @@ def certify_minimum_forest(
 ) -> None:
     """Raise AssertionError unless ``edge_ids`` is a minimum spanning
     forest of ``graph`` (independent first-principles proof)."""
-    from .validate import is_spanning_forest
-
+    n, m = graph.num_vertices, graph.num_edges
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    if not is_spanning_forest(graph, edge_ids):
+    if edge_ids.size and (edge_ids.min() < 0 or edge_ids.max() >= m):
         raise AssertionError("not a spanning forest")
-    parent, parent_weight, depth = _root_forest(graph, edge_ids)
-    in_forest = np.zeros(graph.num_edges, dtype=bool)
+    in_forest = np.zeros(m, dtype=bool)
     in_forest[edge_ids] = True
+    parent, parent_weight, depth, root = _root_forest(graph, edge_ids)
+    # acyclic: distinct ids, and a forest on n vertices with r trees has
+    # exactly n - r edges (a cycle or self-loop leaves one edge too many)
+    if (int(in_forest.sum()) != edge_ids.size
+            or edge_ids.size != n - depth.count(0)):
+        raise AssertionError("not a spanning forest")
+    # spanning: no graph edge joins two trees
     u, v, w = graph.edge_endpoints()
-    for e in np.flatnonzero(~in_forest):
-        a, b = int(u[e]), int(v[e])
+    labels = np.array(root, dtype=np.int64)
+    if not np.array_equal(labels[u], labels[v]):
+        raise AssertionError("not a spanning forest")
+    rest = np.flatnonzero(~in_forest)
+    for i, (a, b, we) in enumerate(zip(u[rest].tolist(), v[rest].tolist(),
+                                       w[rest].tolist())):
         path_max = max_edge_on_path(a, b, parent, parent_weight, depth)
-        if w[e] < path_max:
+        if we < path_max:
             raise AssertionError(
-                f"cycle property violated: non-tree edge {e} "
-                f"({a}-{b}, w={w[e]}) is lighter than the path maximum "
+                f"cycle property violated: non-tree edge {rest[i]} "
+                f"({a}-{b}, w={we}) is lighter than the path maximum "
                 f"{path_max}"
             )

@@ -1,10 +1,13 @@
 """Kruskal's algorithm — the repo's ground truth.
 
-Sorting is vectorized; the union loop is scalar but touches each edge at
-most once, so it stays fast enough to validate every simulator run.
-Ties are broken by undirected edge id, matching the tie-break used by the
-Borůvka implementations, so on duplicate weights all algorithms agree on
-total weight (and on the exact edge set when weights are unique).
+One stable sort by weight, then one bulk union-find pass over the sorted
+endpoint lists (:meth:`UnionFind.union_all`), fast enough to validate
+every simulator run.  Ties are broken by undirected edge id, matching
+the tie-break used by the Borůvka implementations, so on duplicate
+weights all algorithms agree on total weight (and on the exact edge set
+when weights are unique).  The total is a left-to-right sum over the
+accepted weights in acceptance order; ``sum()`` (compensated on Python
+3.12+) or ``np.sum`` (pairwise) would change its last digits.
 """
 
 from __future__ import annotations
@@ -20,20 +23,15 @@ __all__ = ["kruskal"]
 
 def kruskal(graph: CSRGraph) -> MSTResult:
     """Minimum spanning forest via Kruskal (the repo ground truth)."""
-    n = graph.num_vertices
     u, v, w = graph.edge_endpoints()
-    order = np.lexsort((np.arange(u.size), w))
-    dsu = UnionFind(n)
-    chosen: list[int] = []
+    order = np.argsort(w, kind="stable")  # ties by edge id
+    dsu = UnionFind(graph.num_vertices)
+    chosen = order[dsu.union_all(u[order].tolist(), v[order].tolist())]
     total = 0.0
-    for e in order:
-        if dsu.union(int(u[e]), int(v[e])):
-            chosen.append(int(e))
-            total += float(w[e])
-            if dsu.num_components == 1:
-                break
+    for x in w[chosen].tolist():
+        total += x
     return MSTResult(
-        edge_ids=np.array(chosen, dtype=np.int64),
+        edge_ids=chosen,
         total_weight=total,
         num_components=dsu.num_components,
     )

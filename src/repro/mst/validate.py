@@ -36,14 +36,11 @@ def is_spanning_forest(graph: CSRGraph, edge_ids: np.ndarray) -> bool:
     if eids.size and (eids.min() < 0 or eids.max() >= graph.num_edges):
         return False
     dsu = UnionFind(n)
-    for e in eids:
-        if not dsu.union(int(u[e]), int(v[e])):
-            return False  # cycle
-    # Spanning: adding any graph edge must not reduce component count.
-    src = graph.src_expanded()
-    roots_u = dsu.find_many(src)
-    roots_v = dsu.find_many(graph.dst)
-    return bool(np.array_equal(roots_u, roots_v))
+    if len(dsu.union_all(u[eids].tolist(), v[eids].tolist())) != eids.size:
+        return False  # cycle (or an edge left over once one tree spans)
+    # Spanning: no graph edge may join two of the forest's trees.
+    labels = dsu.component_labels()
+    return bool(np.array_equal(labels[u], labels[v]))
 
 
 def validate_mst(

@@ -56,14 +56,14 @@ def minimax_path_weight(
         raise ValueError("pairs must have shape (k, 2)")
     if forest is None:
         forest = kruskal(graph)
-    parent, pw, depth = _root_forest(graph, forest.edge_ids)
+    parent, pw, depth, _ = _root_forest(graph, forest.edge_ids)
     out = np.empty(pairs.shape[0], dtype=np.float64)
-    for i, (a, b) in enumerate(pairs):
+    for i, (a, b) in enumerate(pairs.tolist()):
         if a == b:
             out[i] = 0.0
             continue
         try:
-            out[i] = max_edge_on_path(int(a), int(b), parent, pw, depth)
+            out[i] = max_edge_on_path(a, b, parent, pw, depth)
         except ValueError:
             out[i] = np.inf
     return out

@@ -1,9 +1,12 @@
 """Unit tests for the Kruskal and Prim ground truths."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.graph import from_edges, path_graph, to_networkx
+from repro.incremental import IncrementalMst
 from repro.mst import kruskal, prim
 
 
@@ -60,3 +63,27 @@ class TestAgreement:
             assert np.array_equal(
                 kruskal(g).edge_ids, prim(g).edge_ids
             ), name
+
+
+class TestTotalWeightOrder:
+    def test_total_is_left_to_right_sum_in_acceptance_order(self):
+        # A path whose edges weigh 0.7 x4 then 0.3 x5 in id order, plus
+        # two heavier chords Kruskal rejects.  Summed left to right in
+        # (weight, eid) acceptance order the tree weighs
+        # 4.300000000000001; math.fsum (and sum() on Python 3.12+) and
+        # the pairwise np.sum give 4.3, id order 4.299999999999999.
+        u = np.array(list(range(9)) + [0, 3])
+        v = np.array(list(range(1, 10)) + [9, 8])
+        w = np.array([0.7] * 4 + [0.3] * 5 + [1.0, 1.0])
+        g = from_edges(10, u, v, w)
+        res = kruskal(g)
+        _, _, ew = g.edge_endpoints()
+        tree_w = ew[res.edge_ids]
+        accepted = tree_w[np.argsort(tree_w, kind="stable")]
+        expected = 0.0
+        for x in accepted.tolist():
+            expected += x
+        assert expected != math.fsum(accepted)
+        assert expected != float(np.sum(accepted))
+        assert repr(res.total_weight) == repr(expected) == "4.300000000000001"
+        assert repr(IncrementalMst(g).forest().total_weight) == repr(expected)

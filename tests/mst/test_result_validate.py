@@ -53,6 +53,13 @@ class TestValidators:
         r = kruskal(tiny_graph)
         assert not is_spanning_forest(tiny_graph, r.edge_ids[:-1])
 
+    def test_rejects_trailing_redundant_edge(self, tiny_graph):
+        # the tree spans before the extra edge arrives, so the bulk
+        # union pass stops without ever reaching it
+        tree = kruskal(tiny_graph).edge_ids
+        extra = np.setdiff1d(np.arange(tiny_graph.num_edges), tree)[:1]
+        assert not is_spanning_forest(tiny_graph, np.append(tree, extra))
+
     def test_rejects_bad_edge_id(self, tiny_graph):
         assert not is_spanning_forest(tiny_graph, np.array([999]))
 

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on the core invariants."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import counted_boruvka
@@ -84,6 +84,23 @@ class TestUnionFind:
         # every element's find agrees with its label
         for i in range(n):
             assert dsu.find(i) == labels[i]
+
+    @SLOW
+    @given(st.integers(0, 12),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                    max_size=40))
+    @example(0, [])
+    @example(1, [(0, 0), (0, 0)])
+    @example(3, [(0, 0), (0, 1), (1, 2), (2, 0), (1, 1)])  # early exit
+    def test_union_all_matches_scalar_unions(self, n, pairs):
+        pairs = [(a % n, b % n) for a, b in pairs] if n else []
+        bulk, ref = UnionFind(n), UnionFind(n)
+        merged = bulk.union_all([a for a, _ in pairs], [b for _, b in pairs])
+        assert merged == [i for i, (a, b) in enumerate(pairs)
+                          if ref.union(a, b)]
+        assert bulk.num_components == ref.num_components
+        assert np.array_equal(bulk.component_labels(),
+                              ref.component_labels())
 
     @SLOW
     @given(st.lists(st.integers(0, 19), min_size=1, max_size=20))
