@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from repro.bench import sweep_cache_organization
+from repro.bench.datasets import default_cache_vertices, load
 from repro.core import Amst, AmstConfig, SimState
+from repro.core.events import IterationEvents
+from repro.core.finding import _commit_minedge
 from repro.core.utils import (
     concat_ranges,
     count_distinct,
@@ -18,7 +21,7 @@ from repro.core.utils import (
     segment_offsets,
     segmented_prefix_minima_mask,
 )
-from repro.graph import preprocess, rmat
+from repro.graph import CSRGraph, preprocess, rmat
 from repro.memory import LRUCache, ScalarLRUCache
 from repro.mst import (
     boruvka,
@@ -75,6 +78,44 @@ def bench_kernel_preprocess(benchmark, graph):
         lambda: preprocess(graph, reorder="sort",
                            sort_edges_by_weight=True))
     assert pp.graph.num_edges == graph.num_edges
+
+
+def bench_kernel_sew_sort(benchmark):
+    # the SEW sort of the degree-reordered CF graph, rank included: each
+    # round sorts a fresh graph, so the cached edge rank is recomputed
+    g = preprocess(load("CF", size=0.5)).reorder.graph
+
+    def fresh():
+        return (CSRGraph(g.indptr, g.dst, g.weight, g.eid),), {}
+
+    s = benchmark.pedantic(lambda h: h.sort_edges(by_weight=True),
+                           setup=fresh, rounds=10)
+    assert s.num_edges == g.num_edges
+
+
+def bench_kernel_commit_minedge(benchmark):
+    # one MinEdge commit of UR's per-vertex candidates after 3 iterations
+    size = 0.5
+    cfg = AmstConfig.full(16, cache_vertices=default_cache_vertices(size))
+    out = Amst(cfg).run(load("UR", size=size), max_iterations=3)
+    g = out.preprocess.graph
+    roots = out.state.resolve_roots()
+    external = roots[g.src_expanded()] != roots[g.dst]
+    first = segment_first(external, g.indptr)
+    found = first < g.indptr[1:]
+    cand = first[found]
+    comp, eid = roots[np.flatnonzero(found)], g.eid[cand]
+    w, target = g.weight[cand], roots[g.dst[cand]]
+    rank = g.edge_rank()[eid]
+
+    def fresh():
+        return (SimState.initial(g, cfg),), {}
+
+    comps = benchmark.pedantic(
+        lambda st: _commit_minedge(st, IterationEvents(0), comp, rank, w,
+                                   eid, target),
+        setup=fresh, rounds=20)
+    assert comps.size == np.unique(comp).size
 
 
 def bench_kernel_amst_simulation(benchmark, graph, preprocessed):

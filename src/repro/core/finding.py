@@ -181,21 +181,21 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
             state.parent_cache.mark_dead(new_iv_vs)
 
     # ---- candidate selection ---------------------------------------------
+    rank = g.edge_rank()
     if cfg.sort_edges_by_weight:
         cand_flat = flat[first[found]]
     else:
-        # minimum (weight, eid) external edge per vertex segment; the
-        # stable lexsort keeps the earliest flat position on exact ties
-        ext_pos = np.flatnonzero(external)
-        ext_flat = flat[ext_pos]
-        order = np.lexsort(
-            (g.eid[ext_flat], g.weight[ext_flat], seg_id[ext_pos]))
-        sid = seg_id[ext_pos][order]
-        keep = np.ones(order.size, dtype=bool)
-        keep[1:] = sid[1:] != sid[:-1]
-        # every found segment has exactly one kept entry, in segment
-        # order, so the picks align with `found` by construction
-        cand_flat = ext_flat[order[keep]]
+        # minimum (weight, eid) external edge per vertex segment: the
+        # segment minimum of the edge rank, unique within a segment (an
+        # external edge is never a self loop)
+        ext_seg = seg_id[external]
+        ext_flat = flat[external]
+        ext_rank = rank[g.eid[ext_flat]]
+        head = np.ones(ext_seg.size, dtype=bool)
+        head[1:] = ext_seg[1:] != ext_seg[:-1]
+        seg_min = np.minimum.reduceat(ext_rank, np.flatnonzero(head))
+        # one pick per found segment, in segment order: aligns with `found`
+        cand_flat = ext_flat[ext_rank == seg_min[np.cumsum(head) - 1]]
 
     cand_comp = src_comp_per_v[found]
     cand_w = g.weight[cand_flat]
@@ -205,9 +205,8 @@ def run_finding(state: SimState, ev: IterationEvents) -> FindingOutput:
 
     # ---- sorting network + MinEdge writer ---------------------------------
     with state.subsystem_span("sub.network"):
-        _commit_minedge(state, ev, cand_comp, cand_w, cand_eid, cand_target)
-
-    comps = np.unique(cand_comp)
+        comps = _commit_minedge(state, ev, cand_comp, rank[cand_eid],
+                                cand_w, cand_eid, cand_target)
     return FindingOutput(comps, int(cand_comp.size), int(new_iv_vs.size))
 
 
@@ -215,11 +214,17 @@ def _commit_minedge(
     state: SimState,
     ev: IterationEvents,
     comp: np.ndarray,
+    rank: np.ndarray,
     w: np.ndarray,
     eid: np.ndarray,
     target: np.ndarray,
-) -> None:
+) -> np.ndarray:
     """Batch candidates through the network, commit RMW updates.
+
+    ``rank`` is each candidate's :meth:`CSRGraph.edge_rank` — its
+    position in the global ``(weight, eid)`` order, unique within a
+    component (an edge inside a component is never a candidate).
+    Returns the sorted unique components that received a candidate.
 
     The real compare-exchange network lives in ``sorting_network.py`` and
     is verified there; running it per batch would be a Python-level loop
@@ -229,12 +234,9 @@ def _commit_minedge(
     """
     cfg = state.cfg
     if comp.size == 0:
-        return
+        return np.empty(0, dtype=np.int64)
     p = cfg.parallelism
     m = comp.size
-    # rank = global (weight, eid) order; exact int key for running minima
-    rank = np.empty(m, dtype=np.int64)
-    rank[np.lexsort((eid, w))] = np.arange(m, dtype=np.int64)
 
     # me_p filter (Fig 7 Step 5) with realistic lag: P FPEs dispatch per
     # batch and read me_p *at dispatch*, so a candidate only sees the
@@ -242,36 +244,33 @@ def _commit_minedge(
     # candidates inside one batch all pass the filter and it is the
     # sorting network's job to merge them (Section V-C-2).
     batch = np.arange(m, dtype=np.int64) // p
-    order = np.lexsort((rank, batch, comp))
+    order = np.argsort(comp, kind="stable")  # (comp, batch, arrival)
     c_s, b_s, r_s = comp[order], batch[order], rank[order]
     grp_start = np.ones(m, dtype=bool)
     grp_start[1:] = (c_s[1:] != c_s[:-1]) | (b_s[1:] != b_s[:-1])
     grp_idx_sorted = np.cumsum(grp_start) - 1
-    gmin = r_s[grp_start]  # per-(comp,batch) min rank (rank-sorted groups)
+    gmin = np.minimum.reduceat(r_s, np.flatnonzero(grp_start))  # per group
     gcomp = c_s[grp_start]
     # exclusive running min of gmin within each comp (groups batch-ordered)
     seg_start = np.ones(gmin.size, dtype=bool)
     seg_start[1:] = gcomp[1:] != gcomp[:-1]
     seg_id = np.cumsum(seg_start) - 1
-    span = np.int64(m + 1)
+    span = np.int64(state.graph.num_edges + 1)
     inc = np.minimum.accumulate(gmin - seg_id * span) + seg_id * span
     big = np.iinfo(np.int64).max
     excl = np.empty_like(inc)
     excl[0] = big
     excl[1:] = np.where(seg_start[1:], big, inc[:-1])
     # forward decision per candidate: beats the stale (pre-batch) me_p
-    snapshot_sorted = excl[grp_idx_sorted]
-    forward = np.zeros(m, dtype=bool)
-    forward[order] = r_s < snapshot_sorted
-    n_forward = int(np.count_nonzero(forward))
+    fwd_sorted = r_s < excl[grp_idx_sorted]
+    n_forward = int(np.count_nonzero(fwd_sorted))
     ev.add("fm.candidates_filtered", m - n_forward)
     ev.add("fm.candidates_forwarded", n_forward)
 
     # batch-group winners among the forwarded candidates: exactly one per
     # (comp, batch) group that forwarded anything — the group's min rank
     # always beats the pre-batch snapshot iff any member does
-    fwd_sorted = r_s < snapshot_sorted
-    winners = int(np.count_nonzero(grp_start & fwd_sorted))
+    winners = int(np.count_nonzero(gmin < excl))
     merged = n_forward - winners
     num_batches = int(batch[-1]) + 1
 
@@ -291,7 +290,7 @@ def _commit_minedge(
     ev.add("fm.minedge_writer_reads", writer_inputs)
     ev.add("fm.minedge_writer_commits", commits)
 
-    updated = np.unique(comp)
+    updated = gcomp[seg_start]  # sorted unique components
     ev.add("fm.minedge_updates", updated.size)
     wrote = state.minedge_cache.write(updated)
     dram_w = int(np.count_nonzero(~np.asarray(wrote)))
@@ -300,13 +299,13 @@ def _commit_minedge(
                                    cfg.minedge_bytes))
 
     # ---- functional commit: global (weight, eid) minimum per component --
-    order = np.lexsort((eid, w, comp))
-    c = comp[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = c[1:] != c[:-1]
-    win = order[first]
+    # the inclusive running min at a component's last group is its minimum
+    seg_end = np.append(seg_start[1:], True)
+    comp_min = inc[seg_end]
+    win = order[r_s == comp_min[seg_id[grp_idx_sorted]]]
     better = w[win] < state.me_weight[comp[win]]
     win = win[better]
     state.me_weight[comp[win]] = w[win]
     state.me_eid[comp[win]] = eid[win]
     state.me_target[comp[win]] = target[win]
+    return updated

@@ -45,7 +45,7 @@ class CSRGraph:
         undirected edge share one id.
     """
 
-    __slots__ = ("indptr", "dst", "weight", "eid", "_src_cache")
+    __slots__ = ("indptr", "dst", "weight", "eid", "_src_cache", "_rank_cache")
 
     def __init__(
         self,
@@ -83,6 +83,7 @@ class CSRGraph:
         self.weight = _freeze(weight)
         self.eid = _freeze(eid)
         self._src_cache: np.ndarray | None = None
+        self._rank_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # basic properties
@@ -112,6 +113,43 @@ class CSRGraph:
             )
             self._src_cache = _freeze(src)
         return self._src_cache
+
+    def edge_rank(self) -> np.ndarray:
+        """``int64[m]`` position of each undirected edge in the global
+        ``(weight, eid)`` order (cached).
+
+        The SEW sort and the Finding Module's MinEdge commit compare
+        these integers instead of re-sorting by ``(weight, eid)``.
+        Raises ``ValueError`` when the two half-edges of one eid carry
+        different weights.
+        """
+        if self._rank_cache is None:
+            m = self.num_edges
+            w = np.zeros(m, dtype=np.float64)
+            w[self.eid] = self.weight
+            if not np.array_equal(w[self.eid], self.weight):
+                # the half-edge order would follow each mate's own weight
+                # while edge_endpoints (and so Kruskal) keeps only one
+                raise ValueError(
+                    "the two half-edges of an edge must carry equal weights"
+                )
+            # the stable order of w, at the cost of an unstable float sort
+            # plus one int64 sort by (run of equal weights, eid)
+            order = np.argsort(w)
+            ws = w[order]
+            run_start = np.ones(m, dtype=bool)
+            run_start[1:] = ws[1:] != ws[:-1]
+            order = np.sort((np.cumsum(run_start) - 1) * m + order) % m
+            rank = np.empty(m, dtype=np.int64)
+            rank[order] = np.arange(m, dtype=np.int64)
+            self._rank_cache = _freeze(rank)
+        return self._rank_cache
+
+    def _with_rank_of(self, graph: "CSRGraph") -> "CSRGraph":
+        """``self`` sharing ``graph``'s already-computed edge rank (edge
+        ids and their weights are unchanged by the transformation)."""
+        self._rank_cache = graph._rank_cache
+        return self
 
     # ------------------------------------------------------------------
     # per-vertex access
@@ -180,7 +218,7 @@ class CSRGraph:
         np.cumsum(np.bincount(new_src, minlength=n), out=indptr[1:])
         return CSRGraph(
             indptr, new_dst[order], self.weight[order], self.eid[order]
-        )
+        )._with_rank_of(self)
 
     def sort_edges(self, by_weight: bool) -> "CSRGraph":
         """Return a copy with each vertex's half-edges sorted.
@@ -192,15 +230,21 @@ class CSRGraph:
         is what makes mirror detection by eid equality sound.
         ``by_weight=False`` sorts by destination id, the canonical
         adjacency order.
+
+        The weight order is one int64 argsort of ``src * m + rank[eid]``
+        (:meth:`edge_rank`): the same graph as a ``(src, weight, eid)``
+        lexsort, at integer-sort cost.  Keys tie only for the two mates of
+        a self loop, which are identical entries.
         """
         src = self.src_expanded()
         if by_weight:
-            order = np.lexsort((self.eid, self.weight, src))
+            order = np.argsort(src * self.num_edges
+                               + self.edge_rank()[self.eid])
         else:
             order = np.lexsort((self.weight, self.dst, src))
         return CSRGraph(
             self.indptr, self.dst[order], self.weight[order], self.eid[order]
-        )
+        )._with_rank_of(self)
 
     def reweight(self, weight: np.ndarray) -> "CSRGraph":
         """Return a copy with new per-undirected-edge weights.

@@ -1,9 +1,29 @@
 """Unit tests for the CSR graph container."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.graph import CSRGraph, from_edges, paper_example, path_graph
+from repro.bench.datasets import SUITE, load
+from repro.core import Amst, AmstConfig
+from repro.graph import (
+    CSRGraph,
+    from_edges,
+    paper_example,
+    path_graph,
+    preprocess,
+    rmat,
+)
+from repro.graph.shm import GraphStore, attach_graph
+from repro.mst import (
+    boruvka,
+    certify_minimum_forest,
+    filter_kruskal,
+    kruskal,
+    prim,
+    validate_mst,
+)
 
 
 def _simple():
@@ -173,6 +193,107 @@ class TestTransforms:
         g = _simple()
         with pytest.raises(ValueError, match="one entry per undirected"):
             g.reweight(np.array([1.0]))
+
+
+def _lexsort_rank(g):
+    """Edge rank the slow way: a (weight, eid) lexsort of the eid list."""
+    _, _, w = g.edge_endpoints()
+    rank = np.empty(w.size, dtype=np.int64)
+    rank[np.lexsort((np.arange(w.size), w))] = np.arange(w.size)
+    return rank
+
+
+def _mismatched_mates():
+    # one undirected edge 0-1 whose two half-edges disagree on its weight
+    return CSRGraph(np.array([0, 1, 2]), np.array([1, 0]),
+                    np.array([1.0, 2.0]), np.array([0, 0]))
+
+
+class TestEdgeRank:
+    def test_rank_is_weight_then_eid_order(self):
+        g = from_edges(4, np.array([0, 1, 2, 0]), np.array([1, 2, 3, 3]),
+                       np.array([3.0, 1.0, 3.0, 1.0]), dedup=False)
+        assert g.edge_rank().tolist() == [2, 0, 3, 1]
+
+    def test_rank_is_cached_and_read_only(self):
+        g = _simple()
+        assert g.edge_rank() is g.edge_rank()
+        with pytest.raises(ValueError):
+            g.edge_rank()[0] = 5
+
+    def test_empty_graph_has_empty_rank(self):
+        g = CSRGraph(np.zeros(3, np.int64), np.empty(0, np.int64),
+                     np.empty(0), np.empty(0, np.int64))
+        assert g.edge_rank().size == 0
+
+    def test_mismatched_mate_weights_rejected(self):
+        with pytest.raises(ValueError, match="equal weights"):
+            _mismatched_mates().edge_rank()
+
+    def test_mismatched_mate_weights_rejected_by_preprocess(self):
+        with pytest.raises(ValueError, match="equal weights"):
+            preprocess(_mismatched_mates())
+
+    def test_mismatched_mate_weights_rejected_by_non_sew_run(self):
+        with pytest.raises(ValueError, match="equal weights"):
+            Amst(AmstConfig.baseline(cache_vertices=8)).run(
+                _mismatched_mates())
+
+    def test_signed_zero_mates_are_equal_weights(self):
+        g = CSRGraph(np.array([0, 1, 2]), np.array([1, 0]),
+                     np.array([0.0, -0.0]), np.array([0, 0]))
+        assert g.edge_rank().tolist() == [0]
+
+    def test_preprocess_graph_keeps_the_sort_rank(self):
+        pp = preprocess(rmat(7, 4, rng=3))
+        # computed once on the reordered graph, handed to the sorted one
+        assert pp.graph.edge_rank() is pp.reorder.graph.edge_rank()
+
+    def test_permute_passes_rank_along(self):
+        g = rmat(6, 4, rng=1)
+        perm = np.random.default_rng(0).permutation(g.num_vertices)
+        rank = g.edge_rank()
+        assert g.permute(perm).edge_rank() is rank
+        assert g.sort_edges(by_weight=False).edge_rank() is rank
+
+    def test_permute_without_rank_computes_its_own(self):
+        g = rmat(6, 4, rng=1)
+        perm = np.random.default_rng(0).permutation(g.num_vertices)
+        p = g.permute(perm)
+        assert np.array_equal(p.edge_rank(), g.edge_rank())
+
+    def test_pickle_round_trip_keeps_rank(self):
+        g = preprocess(rmat(7, 4, rng=5)).graph
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g
+        assert np.array_equal(h.edge_rank(), g.edge_rank())
+
+    def test_shm_attached_graph_has_equal_rank(self):
+        g = preprocess(rmat(7, 4, rng=5)).graph
+        with GraphStore() as store:
+            h = attach_graph(store.publish_graph(g))
+            assert np.array_equal(h.edge_rank(), g.edge_rank())
+
+    def test_references_never_read_the_rank(self, monkeypatch):
+        # the references keep their own (weight, eid) sorts, so a wrong
+        # rank cannot make the simulator and its checks agree
+        g = preprocess(rmat(7, 4, rng=2)).graph
+        sim = Amst(AmstConfig.full(4, cache_vertices=8)).run(g).result
+
+        def boom(self):
+            raise AssertionError("a reference read edge_rank")
+
+        monkeypatch.setattr(CSRGraph, "edge_rank", boom)
+        ref = kruskal(g)
+        for algo in (prim, boruvka, filter_kruskal):
+            assert np.array_equal(algo(g).edge_ids, ref.edge_ids)
+        validate_mst(g, sim, reference=ref)
+        certify_minimum_forest(g, ref.edge_ids)
+
+    @pytest.mark.parametrize("key", [d.key for d in SUITE])
+    def test_matches_lexsort_rank_on_table1(self, key):
+        g = load(key, seed=0, size=0.05)
+        assert np.array_equal(g.edge_rank(), _lexsort_rank(g))
 
 
 class TestDunder:

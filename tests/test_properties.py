@@ -5,9 +5,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import counted_boruvka
-from repro.core import Amst, AmstConfig, bitonic_sort_pairs
+from repro.core import Amst, AmstConfig, SimState, bitonic_sort_pairs
+from repro.core.events import IterationEvents
+from repro.core.finding import _commit_minedge
+from repro.core.sorting_network import bitonic_stage_count
 from repro.core.utils import segmented_prefix_minima_mask
-from repro.graph import from_edges
+from repro.graph import CSRGraph, from_edges
 from repro.memory import BankedParentCache, HashHDVCache
 from repro.mst import (
     UnionFind,
@@ -237,3 +240,141 @@ class TestGraphTransforms:
 
         labels = connected_components(g)
         assert np.unique(labels).size == kruskal(g).num_components
+
+
+# ----------------------------------------------------------------------
+# Edge-rank keys vs the (weight, eid) lexsorts they replaced
+# ----------------------------------------------------------------------
+_BOUNDARY_WEIGHTS = [-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf]
+
+
+@st.composite
+def boundary_graphs(draw, max_n=16, max_m=40):
+    """Graphs with tied, infinite and signed-zero weights, isolated
+    vertices, ``m = 0``, and (``dedup=False``) self loops / multi-edges;
+    each half-edge of weight zero may carry either sign."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(0, max_m))
+    u = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    v = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        w = [draw(st.sampled_from(_BOUNDARY_WEIGHTS))] * m  # all equal
+    else:
+        w = draw(st.lists(st.sampled_from(_BOUNDARY_WEIGHTS),
+                          min_size=m, max_size=m))
+    g = from_edges(n, np.array(u, int), np.array(v, int),
+                   np.array(w, float), dedup=draw(st.booleans()))
+    flip = np.array(draw(st.lists(st.booleans(), min_size=g.dst.size,
+                                  max_size=g.dst.size)), dtype=bool)
+    weight = np.where(flip & (g.weight == 0), -0.0, g.weight)
+    return CSRGraph(g.indptr, g.dst, weight, g.eid)
+
+
+def _lexsort_sew(g):
+    """The SEW sort as a 3-key ``(src, weight, eid)`` lexsort."""
+    order = np.lexsort((g.eid, g.weight, g.src_expanded()))
+    return CSRGraph(g.indptr, g.dst[order], g.weight[order], g.eid[order])
+
+
+def _lexsort_commit_minedge(state, ev, comp, w, eid, target):
+    """The MinEdge commit with (weight, eid) lexsort keys: three
+    lexsorts over the candidate stream plus ``np.unique``."""
+    cfg = state.cfg
+    if comp.size == 0:
+        return np.empty(0, dtype=np.int64)
+    p = cfg.parallelism
+    m = comp.size
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.lexsort((eid, w))] = np.arange(m, dtype=np.int64)
+    batch = np.arange(m, dtype=np.int64) // p
+    order = np.lexsort((rank, batch, comp))
+    c_s, b_s, r_s = comp[order], batch[order], rank[order]
+    grp_start = np.ones(m, dtype=bool)
+    grp_start[1:] = (c_s[1:] != c_s[:-1]) | (b_s[1:] != b_s[:-1])
+    grp_idx_sorted = np.cumsum(grp_start) - 1
+    gmin = r_s[grp_start]
+    gcomp = c_s[grp_start]
+    seg_start = np.ones(gmin.size, dtype=bool)
+    seg_start[1:] = gcomp[1:] != gcomp[:-1]
+    seg_id = np.cumsum(seg_start) - 1
+    span = np.int64(m + 1)
+    inc = np.minimum.accumulate(gmin - seg_id * span) + seg_id * span
+    big = np.iinfo(np.int64).max
+    excl = np.empty_like(inc)
+    excl[0] = big
+    excl[1:] = np.where(seg_start[1:], big, inc[:-1])
+    fwd_sorted = r_s < excl[grp_idx_sorted]
+    n_forward = int(np.count_nonzero(fwd_sorted))
+    ev.add("fm.candidates_filtered", m - n_forward)
+    ev.add("fm.candidates_forwarded", n_forward)
+    winners = int(np.count_nonzero(grp_start & fwd_sorted))
+    merged = n_forward - winners
+    num_batches = int(batch[-1]) + 1
+    if cfg.use_sorting_network:
+        ev.add("net.batches", num_batches)
+        ev.add("net.conflicts_merged", merged)
+        ev.add("net.stages", num_batches * bitonic_stage_count(p))
+        writer_inputs = winners
+    else:
+        ev.add("net.atomic_conflicts", merged)
+        writer_inputs = n_forward
+    ev.add("fm.minedge_writer_reads", writer_inputs)
+    ev.add("fm.minedge_writer_commits", winners)
+    updated = np.unique(comp)
+    ev.add("fm.minedge_updates", updated.size)
+    wrote = state.minedge_cache.write(updated)
+    dram_w = int(np.count_nonzero(~np.asarray(wrote)))
+    ev.add("mem.fm_minedge_wb_blocks",
+           state.hbm.access_random("fm.minedge_wb", dram_w,
+                                   cfg.minedge_bytes))
+    order = np.lexsort((eid, w, comp))
+    c = comp[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = c[1:] != c[:-1]
+    win = order[first]
+    win = win[w[win] < state.me_weight[comp[win]]]
+    state.me_weight[comp[win]] = w[win]
+    state.me_eid[comp[win]] = eid[win]
+    state.me_target[comp[win]] = target[win]
+    return updated
+
+
+class TestEdgeRankKeys:
+    @SLOW
+    @given(boundary_graphs())
+    def test_sew_sort_matches_lexsort(self, g):
+        assert g.sort_edges(by_weight=True) == _lexsort_sew(g)
+
+    @SLOW
+    @given(boundary_graphs(max_n=20, max_m=60), st.integers(1, 8),
+           st.integers(0, 2**16), st.sampled_from([1, 4, 16, 1 << 14]),
+           st.booleans())
+    def test_commit_minedge_matches_lexsort(self, g, num_comps, seed, p,
+                                            network):
+        # the FM's candidate stream: external half-edges under a random
+        # component labelling (roots are vertex ids), each carrying its
+        # source component — so an eid can reach two components, never
+        # twice the same one.  Widths are powers of two (bitonic network);
+        # 4 leaves partial batches, 1 << 14 exceeds every stream.
+        rng = np.random.default_rng(seed)
+        roots = rng.integers(0, g.num_vertices, num_comps)
+        label = roots[rng.integers(0, num_comps, g.num_vertices)]
+        src_comp = label[g.src_expanded()]
+        ext = np.flatnonzero(src_comp != label[g.dst])
+        stream = rng.permutation(ext)[:rng.integers(0, ext.size + 1)]
+        comp, eid = src_comp[stream], g.eid[stream]
+        w, target = g.weight[stream], label[g.dst[stream]]
+
+        cfg = AmstConfig.full(p, cache_vertices=8).with_(
+            use_sorting_network=network)
+        new, ref = SimState.initial(g, cfg), SimState.initial(g, cfg)
+        ev_new, ev_ref = IterationEvents(0), IterationEvents(0)
+        comps = _commit_minedge(new, ev_new, comp, g.edge_rank()[eid],
+                                w, eid, target)
+        expected = _lexsort_commit_minedge(ref, ev_ref, comp, w, eid,
+                                           target)
+        np.testing.assert_array_equal(comps, expected)
+        assert ev_new.counts == ev_ref.counts
+        for name in ("me_weight", "me_eid", "me_target"):
+            np.testing.assert_array_equal(getattr(new, name),
+                                          getattr(ref, name))
