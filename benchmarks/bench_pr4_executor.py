@@ -1,4 +1,4 @@
-"""Zero-copy execution layer benchmark: run cache, shm fan-out, phase-1.
+"""Execution layer benchmark: run cache, scale-out phase 1, partition.
 
 Standalone (argparse, no pytest-benchmark) so CI can run it directly and
 upload the JSON artifact:
@@ -6,7 +6,7 @@ upload the JSON artifact:
     PYTHONPATH=src python benchmarks/bench_pr4_executor.py \
         --out benchmarks/BENCH_pr4.json
 
-Three workloads, matching the acceptance criteria of the zero-copy PR:
+Three workloads:
 
 1. **Multi-config oracle** — ``run_oracle`` over the full config suite.
    Measured serial/uncached, with a cold content-addressed cache (the
@@ -17,15 +17,14 @@ Three workloads, matching the acceptance criteria of the zero-copy PR:
 2. **Scale-out phase 1 at N cards** — the modelled local-phase time
    (``report.local_seconds``: max over cards, which run concurrently in
    hardware) versus the single-card run.  Criterion: ≥ (cards/2)x at
-   4 cards.  Host wall clock for serial vs ``jobs=N`` fan-out is also
-   recorded together with ``cpu_count`` — on a single-core host the
-   pool cannot beat serial and the number says so honestly.
+   4 cards.  The host wall clock of the in-process card loop is
+   recorded alongside.
 3. **Vectorized edge partition** — the single sort+bincount scan of
    ``_partition_edges`` against the ``num_cards`` boolean sweeps it
    replaced.
 
 Every run re-verifies byte-identity along the way (cached oracle report
-== uncached report; pooled scale-out forest == serial forest) so a
+== uncached report; partitioned edge shards == the boolean sweeps) so a
 speedup can never be bought with a wrong answer.
 """
 
@@ -79,33 +78,20 @@ def bench_oracle(graph, rounds: int) -> dict:
     }
 
 
-def bench_scale_out_phase1(graph, cards: int, jobs: int,
-                           rounds: int) -> dict:
+def bench_scale_out_phase1(graph, cards: int, rounds: int) -> dict:
     cfg = AmstConfig.full(16, cache_vertices=4096)
 
-    one_s, one = _best_of(lambda: run_scale_out(graph, 1, cfg), 1)
+    _, one = _best_of(lambda: run_scale_out(graph, 1, cfg), 1)
     serial_s, serial = _best_of(
         lambda: run_scale_out(graph, cards, cfg), rounds)
-    pooled_s, pooled = _best_of(
-        lambda: run_scale_out(graph, cards, cfg, jobs=jobs), rounds)
-
-    np.testing.assert_array_equal(serial.result.edge_ids,
-                                  pooled.result.edge_ids)
-    assert serial.report.local_seconds == pooled.report.local_seconds
     return {
         "cards": cards,
-        "jobs": jobs,
         "modelled_local_s_1card": one.report.local_seconds,
         "modelled_local_s": serial.report.local_seconds,
         "modelled_phase1_speedup": (one.report.local_seconds
                                     / serial.report.local_seconds),
         "host_total_serial_s": serial_s,
-        "host_total_jobs_s": pooled_s,
         "host_phase1_serial_s": serial.report.host_phase1_seconds,
-        "host_phase1_jobs_s": pooled.report.host_phase1_seconds,
-        "host_phase1_speedup": (serial.report.host_phase1_seconds
-                                / pooled.report.host_phase1_seconds),
-        "byte_identical": True,
     }
 
 
@@ -150,7 +136,6 @@ def main(argv=None) -> int:
     ap.add_argument("--size", type=float, default=1.0)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--cards", type=int, default=4)
-    ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--out", default="benchmarks/BENCH_pr4.json")
     ap.add_argument("--check", action="store_true",
@@ -166,12 +151,10 @@ def main(argv=None) -> int:
           f"warm cache {oracle['cached_warm_s']:.3f}s "
           f"({oracle['warm_speedup']:.1f}x)", flush=True)
 
-    phase1 = bench_scale_out_phase1(graph, args.cards, args.jobs,
-                                    args.rounds)
+    phase1 = bench_scale_out_phase1(graph, args.cards, args.rounds)
     print(f"phase1 @ {args.cards} cards: modelled "
-          f"{phase1['modelled_phase1_speedup']:.1f}x, host jobs={args.jobs} "
-          f"{phase1['host_phase1_speedup']:.2f}x "
-          f"(cpu_count={os.cpu_count()})", flush=True)
+          f"{phase1['modelled_phase1_speedup']:.1f}x, host "
+          f"{phase1['host_phase1_serial_s']:.3f}s", flush=True)
 
     partition = bench_partition(graph, args.rounds)
     for row in partition:

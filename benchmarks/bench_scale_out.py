@@ -76,8 +76,7 @@ SWEEP_PARTITIONERS = ("range", "hash", "edge-cut", "grid2d")
 SWEEP_CARDS = (16, 64, 256)
 
 
-def sweep_partitioners(dataset, size, seed, parallelism, net_profile,
-                       jobs=1):
+def sweep_partitioners(dataset, size, seed, parallelism, net_profile):
     """Every (partitioner × card count) vs. serial; returns sweep rows."""
     import numpy as np
 
@@ -91,7 +90,7 @@ def sweep_partitioners(dataset, size, seed, parallelism, net_profile,
     for name in SWEEP_PARTITIONERS:
         for cards in SWEEP_CARDS:
             run = run_fabric(g, cards, cfg, partitioner=name,
-                             net_profile=net_profile, jobs=jobs)
+                             net_profile=net_profile)
             identical = bool(np.array_equal(
                 run.result.edge_ids, serial.result.edge_ids))
             stats = run.plan.stats
@@ -135,8 +134,6 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--parallelism", type=int, default=16)
     ap.add_argument("--net-profile", default="pcie3")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for the per-card local runs")
     ap.add_argument("--out", default="benchmarks/BENCH_scaleout.json")
     ap.add_argument("--sweep-out", default="benchmarks/SWEEP_scaleout.json")
     ap.add_argument("--check", action="store_true",
@@ -146,7 +143,7 @@ def main(argv=None):
 
     g, serial, rows = sweep_partitioners(
         args.dataset, args.size, args.seed, args.parallelism,
-        args.net_profile, jobs=args.jobs)
+        args.net_profile)
 
     for row in rows:
         print(f"{row['partitioner']:>9} x {row['cards']:>3} cards: "

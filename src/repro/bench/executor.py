@@ -12,14 +12,12 @@ output *byte-identical* to a serial run:
   on which worker ran it or in what order;
 * **ordered collection** — futures are gathered in submission order, so
   stdout ordering matches ``--jobs 1`` exactly;
-* **inline fallback** — ``jobs <= 1`` runs every task in-process with
+* **inline path** — ``jobs <= 1`` runs every task in-process with
   the same code path, which is what makes the parity testable;
-* **zero-copy inputs** — graph-consuming surfaces (sweeps, golden
-  recomputation, the oracle, scale-out) publish their CSR arrays once
-  through :mod:`repro.graph.shm` and pass workers lightweight handles,
-  so no multi-MB array is pickled per task; when shared memory is
-  unavailable the handle *is* the graph and pickling resumes silently
-  (modulo one logged warning).
+* **pickled inputs** — a sweep task carries its :class:`CSRGraph`
+  through the pool by pickling; the pool serves only ``amst bench`` and
+  ``amst sweep``, the two surfaces where it measurably wins (see
+  docs/PERFORMANCE.md "Where the process pool runs").
 
 Wall-clock measurements inside a task (Table II, Fig 3a) are real time
 and naturally vary run-to-run; everything count- or cycle-based is
@@ -204,19 +202,11 @@ def run_experiments(
 def _sweep_task(
     name: str, *, graph, cache_vertices: int, base_seed: int,
 ) -> ExperimentResult:
-    """Worker body for one sweep.
-
-    Module-level (picklable) on purpose.  ``graph`` is either a
-    :class:`~repro.graph.shm.SharedGraphHandle` (the zero-copy path —
-    the parent published the CSR arrays once and every worker attaches
-    read-only views) or a plain :class:`~repro.graph.csr.CSRGraph` on
-    the inline / fallback path.
-    """
-    from ..graph.shm import resolve_graph
+    """Worker body for one sweep (module-level, so it pickles)."""
     from .sweeps import SWEEPS
 
     return _call_filtered(SWEEPS[name], {
-        "graph": resolve_graph(graph),
+        "graph": graph,
         "cache_vertices": cache_vertices,
         "seed": derive_task_seed(base_seed, f"sweep.{name}"),
     })
@@ -228,26 +218,17 @@ def run_sweeps(
 ) -> list[ExperimentResult]:
     """Run the named sweeps (keys of ``sweeps.SWEEPS``) in order.
 
-    The dataset is built *once* in the parent (all sweeps share it) and,
-    on the ``--jobs N`` path, published through the shared-memory graph
-    store so workers attach the CSR arrays instead of unpickling
-    multi-MB copies per task.  Output is byte-identical to serial.
+    The dataset is built *once* in the parent (all sweeps share it);
+    on the ``--jobs N`` path each task pickles it to its worker.  Output
+    is byte-identical to serial.
     """
-    from ..graph.shm import GraphStore
-
     g = load(dataset, seed=seed, size=size)
     cache = cache_vertices or default_cache_vertices(size)
-    with GraphStore() as store:
-        shared = (
-            store.publish_graph(g)
-            if jobs > 1 and len(names) > 1
-            else g
-        )
-        tasks = [
-            TaskSpec(key=f"sweep.{name}", fn=_sweep_task, kwargs={
-                "name": name, "graph": shared, "cache_vertices": cache,
-                "base_seed": seed,
-            })
-            for name in names
-        ]
-        return [r for group in execute(tasks, jobs=jobs) for r in group]
+    tasks = [
+        TaskSpec(key=f"sweep.{name}", fn=_sweep_task, kwargs={
+            "name": name, "graph": g, "cache_vertices": cache,
+            "base_seed": seed,
+        })
+        for name in names
+    ]
+    return [r for group in execute(tasks, jobs=jobs) for r in group]

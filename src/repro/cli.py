@@ -4,12 +4,12 @@ Subcommands::
 
     amst run --dataset RC --parallelism 16      # one accelerator run
     amst run --dataset RC --self-check          # + per-iteration invariants
-    amst run --telemetry --jobs 2               # + recorded run manifest
+    amst run --telemetry                        # + recorded run manifest
     amst bench --experiment fig13 --scale 0.5   # reproduce one exhibit
     amst bench --experiment all                 # reproduce everything
     amst verify                                 # oracle + golden traces
     amst verify --update-golden                 # re-bless golden traces
-    amst scaleout --cards 4 --jobs 4            # multi-card partitioned MST
+    amst scaleout --cards 4                     # multi-card partitioned MST
     amst serve --port 8787                      # long-lived daemon
     amst client publish --dataset RC            # talk to a daemon
     amst client submit --kind run --graph FP    # async job submission
@@ -55,8 +55,8 @@ def _telemetry_session(args: argparse.Namespace, command: str):
 
     With ``--telemetry``: mints a :class:`~repro.obs.context.RunContext`,
     activates the ambient telemetry so every instrumented layer records
-    into it, opens the root ``cmd:<command>`` span, and on exit folds in
-    the shared-memory counters and persists ``<runs-dir>/<run-id>/``.
+    into it, opens the root ``cmd:<command>`` span, and on exit persists
+    ``<runs-dir>/<run-id>/``.
     Without the flag the command body runs exactly as before.
     """
     if not getattr(args, "telemetry", False):
@@ -75,25 +75,9 @@ def _telemetry_session(args: argparse.Namespace, command: str):
             yield tel
     finally:
         deactivate(previous)
-        tel.record_shm()
         run_dir = RunStore(getattr(args, "runs_dir", "runs")).write(tel)
         print(f"telemetry    : run {tel.context.run_id} -> "
               f"{run_dir / 'manifest.json'}")
-
-
-def _sim_run_task(cfg: AmstConfig, graph) -> tuple:
-    """Worker body: the full simulator run (``amst run --jobs N``)."""
-    from .graph.shm import resolve_graph
-
-    return (Amst(cfg).run(resolve_graph(graph)),)
-
-
-def _kruskal_task(graph) -> tuple:
-    """Worker body: the Kruskal reference forest."""
-    from .graph.shm import resolve_graph
-    from .mst import kruskal
-
-    return (kruskal(resolve_graph(graph)),)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -114,26 +98,7 @@ def _cmd_run_body(args: argparse.Namespace, tel) -> int:
             graph_fingerprint=graph_fingerprint(g),
             config_fingerprint=config_fingerprint(cfg),
         )
-    reference = None
-    if args.jobs > 1:
-        # The simulator run and the Kruskal reference are independent;
-        # fan them over the pool (zero-copy graph hand-off).  The
-        # simulated output is byte-identical to the inline path — only
-        # the transport differs.
-        from .bench.executor import TaskSpec, execute
-        from .graph.shm import GraphStore
-
-        with GraphStore() as store:
-            shared = store.publish_graph(g)
-            groups = execute([
-                TaskSpec(key="run.sim", fn=_sim_run_task,
-                         kwargs={"cfg": cfg, "graph": shared}),
-                TaskSpec(key="run.kruskal", fn=_kruskal_task,
-                         kwargs={"graph": shared}),
-            ], jobs=args.jobs)
-        out, reference = groups[0][0], groups[1][0]
-    else:
-        out = Amst(cfg).run(g)
+    out = Amst(cfg).run(g)
     r = out.report
     print(f"dataset      : {args.dataset} "
           f"(n={g.num_vertices:,}, m={g.num_edges:,})")
@@ -149,10 +114,9 @@ def _cmd_run_body(args: argparse.Namespace, tel) -> int:
     print(f"energy       : {r.energy_joules * 1e3:.3f} mJ "
           f"@ {r.power_watts:.1f} W")
     if args.validate:
-        from .mst import kruskal, validate_mst
+        from .mst import validate_mst
 
-        validate_mst(g, out.result,
-                     reference=reference or kruskal(g))
+        validate_mst(g, out.result)
         print("validation   : forest matches Kruskal (weight-exact)")
     if args.self_check:
         print("self-check   : invariants held every iteration "
@@ -240,7 +204,7 @@ def _cmd_verify_body(args: argparse.Namespace, tel) -> int:
 
     if args.update_golden:
         for path in update_golden(
-            names, directory=args.golden_dir, jobs=args.jobs
+            names, directory=args.golden_dir
         ):
             print(f"blessed {path}")
         return 0
@@ -260,14 +224,14 @@ def _cmd_verify_body(args: argparse.Namespace, tel) -> int:
     if not args.skip_oracle:
         for name in names:
             graph = GOLDEN_CASES[name].graph_fn()
-            report = run_oracle(graph, cache=cache, jobs=args.jobs)
+            report = run_oracle(graph, cache=cache)
             status = "ok" if report.ok else "MISMATCH"
             print(f"oracle {name:<18s} {status}")
             if not report.ok:
                 failures += 1
                 print(report.format())
 
-    diffs = check_golden(names, directory=args.golden_dir, jobs=args.jobs)
+    diffs = check_golden(names, directory=args.golden_dir)
     drifted = {d.name for d in diffs}
     for name in names:
         status = "DRIFT" if name in drifted else "ok"
@@ -303,7 +267,7 @@ def _cmd_scaleout(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaleout_body(args: argparse.Namespace, tel) -> int:
-    """Partitioned multi-card run with optional parallel phase 1."""
+    """Partitioned multi-card run (cards modelled, run in-process)."""
     from .core import run_scale_out
 
     g = load(args.dataset, seed=args.seed, size=args.scale)
@@ -317,7 +281,7 @@ def _cmd_scaleout_body(args: argparse.Namespace, tel) -> int:
             config_fingerprint=config_fingerprint(cfg),
         )
     r = run_scale_out(g, args.cards, cfg, partitioner=args.partitioner,
-                      net_profile=args.net_profile, jobs=args.jobs)
+                      net_profile=args.net_profile)
     rep = r.report
     if tel is not None:
         tel.record_output(rep.merge_output)
@@ -335,8 +299,7 @@ def _cmd_scaleout_body(args: argparse.Namespace, tel) -> int:
         }
     print(f"dataset      : {args.dataset} "
           f"(n={g.num_vertices:,}, m={g.num_edges:,})")
-    print(f"cards        : {rep.num_cards} ({rep.partitioner} partition, "
-          f"jobs={args.jobs})")
+    print(f"cards        : {rep.num_cards} ({rep.partitioner} partition)")
     print(f"forest       : {r.result.num_edges:,} edges, "
           f"weight {r.result.total_weight:,.0f}, "
           f"{r.result.num_components} component(s)")
@@ -800,9 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--cache-vertices", type=int, default=None)
     pr.add_argument("--scale", type=float, default=1.0)
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--jobs", type=int, default=1,
-                    help="worker processes: > 1 runs the simulator and "
-                         "the Kruskal reference as pool tasks")
     pr.add_argument("--validate", action="store_true",
                     help="check the forest against Kruskal")
     pr.add_argument("--self-check", action="store_true",
@@ -834,8 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--golden-dir", default=None,
                     help="golden directory (default tests/golden, "
                          "or $AMST_GOLDEN_DIR)")
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (1 = run inline)")
     pv.add_argument("--no-cache", action="store_true",
                     help="disable the content-addressed run cache")
     _add_telemetry_flags(pv)
@@ -906,9 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--cache-vertices", type=int, default=None)
     po.add_argument("--scale", type=float, default=1.0)
     po.add_argument("--seed", type=int, default=0)
-    po.add_argument("--jobs", type=int, default=1,
-                    help="host processes for the per-card local runs "
-                         "(1 = run serially)")
     po.add_argument("--validate", action="store_true",
                     help="check the forest against Kruskal")
     _add_telemetry_flags(po)

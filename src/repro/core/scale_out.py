@@ -6,8 +6,8 @@ partitioned Borůvka: shard the edges across cards, run AMST per shard,
 then merge the local minimum spanning forests (MST composability keeps
 the result exact; tests pin it against Kruskal).
 
-The actual execution lives in :mod:`repro.fabric` — per-card worker
-processes over shm-published shards, typed inter-card messages in
+The actual execution lives in :mod:`repro.fabric` — modelled cards run
+in-process over their edge shards, typed inter-card messages in
 synchronization rounds, pluggable partitioners, and an explicit network
 model.  This module keeps the historical ``run_scale_out`` surface:
 :class:`ScaleOutReport` keeps its original fields and adds the fabric's
@@ -82,15 +82,12 @@ def run_scale_out(
     *,
     partitioner: str = "range",
     net_profile: str = "pcie3",
-    jobs: int = 1,
 ) -> ScaleOutResult:
     """Compute the minimum spanning forest across ``num_cards`` cards.
 
     ``partitioner`` selects a registered strategy (``range``, ``hash``,
-    ``edge-cut``, ``grid2d``).  ``jobs > 1`` fans the per-card runs
-    across worker processes; the forest, the modelled report and every
-    event count are byte-identical to the serial run — only
-    ``report.host_phase1_seconds`` (real wall clock) differs.
+    ``edge-cut``, ``grid2d``).  The per-card runs execute in-process;
+    ``report.host_phase1_seconds`` is their real wall clock.
     """
     cfg = config if config is not None else AmstConfig.full()
     num_cards = validate_num_cards(num_cards)
@@ -120,7 +117,7 @@ def run_scale_out(
 
     run = run_fabric(
         graph, num_cards, cfg,
-        partitioner=partitioner, net_profile=net_profile, jobs=jobs,
+        partitioner=partitioner, net_profile=net_profile,
     )
 
     if tel is not None:

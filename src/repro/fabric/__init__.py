@@ -1,6 +1,6 @@
 """repro.fabric — sharded multi-card simulation as a message-passing system.
 
-Per-card worker processes over shm-published edge shards, typed
+Modelled cards running their edge shards in-process, typed
 inter-card messages grouped into synchronization rounds, an explicit
 network model (bandwidth/latency/topology → modelled transfer time),
 and a pluggable partitioner registry.  ``repro.core.run_scale_out`` and

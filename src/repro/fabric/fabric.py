@@ -7,10 +7,10 @@ pre-fabric "one process loops over cards" model:
    (one :class:`~repro.fabric.messages.ShardScatter` per card).  Shards
    come from a pluggable partitioner (:mod:`repro.fabric.partition`)
    and form an exact partition of the edge set.
-2. **Local phase** — per-card worker processes (the
-   :mod:`repro.bench.executor` pool over shm-published arrays) each run
-   the full AMST simulator on their shard and keep only their local
-   minimum spanning forest.
+2. **Local phase** — each card runs the full AMST simulator on its
+   shard and keeps only its local minimum spanning forest.  Cards are
+   modelled: the local runs execute one after another in the calling
+   process, and the modelled local time is the slowest card's.
 3. **Reduce** (rounds 1..⌈log2 C⌉) — a binomial reduction tree: in each
    round, card ``lo + stride`` ships its surviving forest to card
    ``lo`` (:class:`ForestShard` + :class:`BoundaryEdges` for the records
@@ -182,23 +182,20 @@ def run_fabric(
     *,
     partitioner: str = "range",
     net_profile: str = "pcie3",
-    jobs: int = 1,
 ) -> FabricRun:
     """Run the sharded multi-card pipeline over ``graph``.
 
     The forest is byte-identical to a serial ``Amst(cfg).run(graph)``
     for every partitioner and card count (enforced by tests *and* by
-    the runtime reduction-vs-merge cross-check below).  ``jobs > 1``
-    fans the per-card local runs across worker processes; results do
-    not depend on ``jobs``.
+    the runtime reduction-vs-merge cross-check below).
     """
     cfg = config if config is not None else AmstConfig.full()
     profile = get_net_profile(net_profile)
     tel = current_telemetry()
 
-    def phase(name):
+    def phase(name, category="phase"):
         if tel is not None:
-            return tel.spans.span(name, category="phase")
+            return tel.spans.span(name, category=category)
         return nullcontext()
 
     with phase("fabric.partition"):
@@ -217,34 +214,15 @@ def run_fabric(
         ),
     )
 
-    # ---- local phase: one worker per card over the published arrays
-    from ..bench.executor import TaskSpec, execute
-    from ..graph.shm import GraphStore
-
+    # ---- local phase: one simulator run per card, in-process
     t0 = time.perf_counter()
+    pairs = []
     with phase("fabric.local"):
-        use_pool = jobs > 1 and num_cards > 1
-        with GraphStore() if use_pool else nullcontext() as store:
-            bundle = (
-                store.publish(u, v, w, sorted_eids)
-                if use_pool else (u, v, w, sorted_eids)
-            )
-            tasks = [
-                TaskSpec(
-                    key=f"fabric.card{card}", fn=card_task,
-                    kwargs={
-                        "bundle": bundle,
-                        "start": int(bounds[card]),
-                        "stop": int(bounds[card + 1]),
-                        "num_vertices": graph.num_vertices,
-                        "cfg": cfg,
-                        "card": card,
-                    },
-                )
-                for card in range(num_cards)
-            ]
-            groups = execute(tasks, jobs=jobs if use_pool else 1)
-        pairs = [g[0] for g in groups]
+        for card in range(num_cards):
+            keep = sorted_eids[bounds[card]:bounds[card + 1]]
+            with phase(f"task:fabric.card{card}", category="task"):
+                pairs.append(card_task(u, v, w, keep, graph.num_vertices,
+                                       cfg))
     host_phase1 = time.perf_counter() - t0
     local_outputs = tuple(out for out, _ in pairs)
     msf_eids = [eids for _, eids in pairs]

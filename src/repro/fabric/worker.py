@@ -1,18 +1,15 @@
-"""Per-card worker: one process, one shard, one local MSF.
+"""Per-card local phase: one shard, one local MSF.
 
-The worker body is a plain module-level function so the executor can
-pickle it by reference into pool processes.  Each card resolves the
-shm-published ``(u, v, w, sorted_eids)`` bundle to read-only views,
-slices out its own shard, materializes the shard subgraph and runs the
-full AMST simulator over it.  The returned pair is ``(AmstOutput,
-global_edge_ids_of_local_msf)`` — the only thing that travels back to
-the host, mirroring how a real card would ship just its surviving
-forest records.
+Cards are modelled, not host processes: :func:`card_task` runs in the
+calling process.  Each card materializes its shard subgraph from the
+graph's canonical ``(u, v, w)`` endpoint arrays and runs the full AMST
+simulator over it.  The returned pair is ``(AmstOutput,
+global_edge_ids_of_local_msf)``, mirroring how a real card would ship
+just its surviving forest records.
 
-Worker-side telemetry uses *counters* (``inc``), which sum correctly
-when per-worker snapshots merge back into the parent session; the
-executor already wraps every card in a ``task:fabric.card<N>`` span, so
-each card gets its own lane in the merged Chrome trace.
+Telemetry uses *counters* (``inc``), which sum over cards;
+:func:`~repro.fabric.run_fabric` wraps every card in a
+``task:fabric.card<N>`` span.
 """
 
 from __future__ import annotations
@@ -47,25 +44,17 @@ def edge_subgraph(
 
 
 def card_task(
-    bundle,
-    start: int,
-    stop: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    keep: np.ndarray,
     num_vertices: int,
     cfg: AmstConfig,
-    card: int = 0,
 ) -> tuple:
-    """Worker body for one card's local phase.
+    """One card's local phase over its edge-id shard ``keep``.
 
-    ``bundle`` resolves to ``(u, v, w, sorted_eids)`` — shared-memory
-    views on the zero-copy path, plain arrays on the fallback path; the
-    card's edge-id shard is the ``[start, stop)`` slice of the
-    card-sorted id array.  Returns a 1-tuple so the executor's result
-    normalization leaves the payload pair intact.
+    Returns ``(AmstOutput, global_edge_ids_of_local_msf)``.
     """
-    from ..graph.shm import resolve_arrays
-
-    u, v, w, sorted_eids = resolve_arrays(bundle)
-    keep = sorted_eids[start:stop]
     sub = edge_subgraph(num_vertices, u, v, w, keep)
     out = Amst(cfg).run(sub)
     tel = current_telemetry()
@@ -74,4 +63,4 @@ def card_task(
         tel.metrics.inc("fabric.worker.shard_edges", int(keep.size))
         tel.metrics.inc("fabric.worker.msf_edges",
                         int(out.result.edge_ids.size))
-    return ((out, keep[out.result.edge_ids]),)
+    return out, keep[out.result.edge_ids]

@@ -84,6 +84,10 @@ def from_edges(
         w = np.asarray(w, dtype=np.float64).ravel()
         if w.shape != u.shape:
             raise ValueError("w must have the same length as u/v")
+        if not np.isfinite(w).all():
+            # checked before dedup, which would silently drop a
+            # non-finite self loop or parallel edge
+            raise ValueError("edge weights must be finite (no NaN or ±inf)")
 
     if dedup and u.size:
         keep = u != v

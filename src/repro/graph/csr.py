@@ -74,10 +74,11 @@ class CSRGraph:
         n = indptr.size - 1
         if dst.size and (dst.min() < 0 or dst.max() >= n):
             raise ValueError("dst contains out-of-range vertex ids")
-        if np.isnan(weight).any():
+        if not np.isfinite(weight).all():
             # NaN compares false both ways: the simulator would drop the
-            # edge while the reference MSTs keep it
-            raise ValueError("edge weights must not be NaN")
+            # edge while the reference MSTs keep it; ±inf sums to NaN or
+            # to -inf + inf in the forest weight
+            raise ValueError("edge weights must be finite (no NaN or ±inf)")
         self.indptr = _freeze(indptr)
         self.dst = _freeze(dst)
         self.weight = _freeze(weight)

@@ -91,8 +91,8 @@ class UpdateBatch:
         d = np.asarray(self.delete_eids, dtype=np.int64).ravel()
         if not (u.shape == v.shape == w.shape):
             raise ValueError("insert_u/insert_v/insert_w lengths differ")
-        if np.isnan(w).any():
-            raise ValueError("insert weights must not be NaN")
+        if not np.isfinite(w).all():
+            raise ValueError("insert weights must be finite (no NaN or ±inf)")
         if d.size:
             d = np.sort(d)
             if d[0] < 0:

@@ -3,10 +3,10 @@
 The repo accumulates counts in four disconnected shapes — the event
 ledger (``Counter`` of ``module.event`` keys), the host profile
 (seconds + calls per span name), ``CacheStats`` dataclasses on the
-cache models, and ad-hoc dicts from the run cache and shared-memory
-store.  The registry is the common denominator: dotted metric names
-(``events.fm.tasks``, ``cache.parent.hits``, ``runcache.misses``,
-``host.stage.fm.seconds``) holding
+cache models, and ad-hoc dicts from the run cache.  The registry is
+the common denominator: dotted metric names (``events.fm.tasks``,
+``cache.parent.hits``, ``runcache.misses``, ``host.stage.fm.seconds``)
+holding
 
 * **counters** — monotone totals; merging adds them (worker payloads);
 * **gauges** — last-write-wins values (rates, utilizations, modelled

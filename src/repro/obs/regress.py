@@ -4,7 +4,7 @@ Compares the flat metric maps of two run manifests (or any two JSON
 files — ``BENCH_*.json`` records are flattened by dotted path) and
 flags every shared metric whose relative change exceeds a threshold.
 Wall-clock and environment-dependent namespaces (``host.*``,
-``runcache.*``, ``shm.*``) are skipped by default: they vary run to run
+``runcache.*``, ...) are skipped by default: they vary run to run
 by construction, and flagging them would bury the deterministic
 count-and-cycle metrics the paper's claims — and the CI gate — actually
 ride on.
@@ -39,13 +39,15 @@ __all__ = [
 #: namespaces land HERE, with a reason, never inline at a call site;
 #: the exact contents are pinned by ``tests/obs/test_skip_prefixes``).
 #: ``kernel.time.*`` only occurs in manifests recorded while the
-#: simulator still had a compiled kernel tier; it stays listed so those
-#: older runs diff cleanly.  Their ``kernel.dispatch.*`` counters stay
-#: diffable on purpose: unlike the wall clocks they are deterministic.
+#: simulator still had a compiled kernel tier, and ``shm.*`` only in
+#: manifests recorded while a shared-memory graph store existed; both
+#: stay listed so those older runs diff cleanly.  Their
+#: ``kernel.dispatch.*`` counters stay diffable on purpose: unlike the
+#: wall clocks they are deterministic.
 SKIP_PREFIX_REASONS: dict[str, str] = {
     "host.": "host wall-clock timers; vary with machine load",
     "runcache.": "hit/miss mix depends on what earlier runs cached",
-    "shm.": "publish/attach counts depend on pool worker scheduling",
+    "shm.": "legacy namespace (shared-memory graph store deleted)",
     "kernel.time.": "per-kernel wall clock (dispatch counts stay "
                     "diffable)",
     "serve.": "latency histograms + uptime under an arbitrary job mix",

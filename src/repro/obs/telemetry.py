@@ -9,9 +9,7 @@ repo's existing counting surfaces into the registry:
 * :meth:`Telemetry.record_output` — event ledger, cache stats, host
   profile and the performance report of one ``AmstOutput``;
 * :meth:`Telemetry.record_runcache` — the content-addressed run cache's
-  public ``stats()`` snapshot;
-* :meth:`Telemetry.record_shm` — the shared-memory store's
-  publish/attach/fallback counters.
+  public ``stats()`` snapshot.
 
 Everything here *reads* finished state; nothing feeds back into the
 simulation, which is the invariant the byte-identity tests pin down.
@@ -123,13 +121,6 @@ class Telemetry:
                 value, bool
             ):
                 self.metrics.inc(f"runcache.{name}", value)
-
-    def record_shm(self) -> None:
-        """Fold the shared-memory store counters into ``shm.*``."""
-        from ..graph.shm import shm_counters
-
-        for name, value in shm_counters().items():
-            self.metrics.inc(f"shm.{name}", value)
 
     # -- cross-process merge -------------------------------------------
     def merge_worker(self, payload: WorkerTelemetry) -> None:

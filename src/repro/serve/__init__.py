@@ -2,7 +2,7 @@
 
 Composes the repo's load-bearing platforms behind one daemon process:
 
-* graphs are *published once* into the shared-memory
+* graphs are *published once* into the
   :class:`~repro.serve.registry.GraphRegistry` and addressed forever by
   content fingerprint;
 * run/verify/sweep jobs flow through the prioritized, per-client-limited

@@ -236,7 +236,7 @@ class JobQueue:
         """Fail every *queued* job addressing an evicted graph.
 
         Running jobs already resolved their graph object and finish
-        normally (the parent-side CSR arrays outlive the segment).
+        normally (they hold their own reference to the graph).
         Returns the number of jobs failed.
         """
         failed = 0

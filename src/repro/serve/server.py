@@ -1,7 +1,7 @@
 """The AMST daemon: HTTP front-end over registry + queue + cache.
 
 ``AmstDaemon`` is the long-lived composition the ROADMAP's serving item
-describes: graphs are published once into the shared-memory
+describes: graphs are published once into the
 :class:`~repro.serve.registry.GraphRegistry` and addressed by content
 fingerprint; run/verify/sweep jobs flow through the prioritized
 :class:`~repro.serve.jobs.JobQueue`; every run-shaped computation
@@ -13,13 +13,11 @@ namespace exported at ``/v1/metrics`` (Prometheus text).
 The HTTP tier is the stdlib ``ThreadingHTTPServer`` — one thread per
 request, JSON in/out, every failure mapped to the structured error
 shapes pinned in :mod:`repro.serve.protocol`.  Graceful shutdown stops
-admissions, drains in-flight jobs, unlinks every shm segment and writes
-the session manifest before the listener stops (see docs/SERVING.md).
+admissions, drains in-flight jobs, empties the registry and writes the
+session manifest before the listener stops (see docs/SERVING.md).
 
-Job execution reuses the existing executor plumbing
-(:func:`repro.bench.executor.run_task` task specs) with the parent-side
-graph object — worker threads share the registry's arrays by reference,
-and the published segment stands ready for pool-mode fan-out.
+Jobs run on the daemon's worker threads against the registry's graph
+object; the threads share its arrays by reference.
 """
 
 from __future__ import annotations
@@ -181,7 +179,7 @@ class AmstDaemon:
 
     def shutdown(self, *, drain: bool = True,
                  timeout: float = 30.0) -> dict:
-        """Stop admissions, drain jobs, unlink shm, persist the session.
+        """Stop admissions, drain jobs, drop every graph, save the session.
 
         Idempotent; returns the final accounting the ``/v1/shutdown``
         response carries.
@@ -193,7 +191,6 @@ class AmstDaemon:
         self.registry.close()
         manifest = None
         if first and self.config.runs_dir:
-            self.telemetry.record_shm()
             self.telemetry.record_runcache(self.cache)
             self._refresh_gauges()
             self.telemetry.summary = {
@@ -212,7 +209,6 @@ class AmstDaemon:
             threading.Thread(target=httpd.shutdown, daemon=True).start()
         return {
             "jobs": depth,
-            "shm_segments": list(self.registry.active_segments()),
             "session_manifest": manifest,
         }
 
@@ -264,7 +260,7 @@ class AmstDaemon:
         return view
 
     def evict_graph(self, fingerprint: str) -> dict:
-        """``DELETE /v1/graphs/{fp}``: fail queued jobs, unlink, purge."""
+        """``DELETE /v1/graphs/{fp}``: fail queued jobs, drop, purge."""
         failed = self.queue.fail_queued_for_graph(fingerprint)
         view = self.registry.evict(fingerprint)
         dropped = self.cache.drop_fingerprint(fingerprint)
@@ -314,8 +310,7 @@ class AmstDaemon:
         """Worker body: fault hooks, cache-first compute, telemetry."""
         t0 = time.monotonic()
         # resolve first: a job that is already running keeps its graph
-        # object even if the fingerprint is evicted mid-flight (the
-        # registry's parent-side arrays outlive the shm segment)
+        # object even if the fingerprint is evicted mid-flight
         graph = self.registry.get(job.graph).graph
         self._inject_faults(job)
         if job.kind == "run":
@@ -359,15 +354,6 @@ class AmstDaemon:
         cfg = self._job_config(job.params)
         key = f"run:{job.graph}:{config_fingerprint(cfg)}"
 
-        def compute():
-            from ..bench.executor import TaskSpec, run_task
-
-            # route through the executor's task plumbing — the same
-            # spec/run_task path every pool surface uses
-            return run_task(TaskSpec(
-                key=f"serve.{job.id}", fn=_run_job_task,
-                kwargs={"cfg": cfg, "graph": graph}))[0]
-
         hit = True
         out = self.cache.get(key)
         while out is None:
@@ -376,7 +362,7 @@ class AmstDaemon:
                 # we own the compute for everyone queued on this key
                 try:
                     self.cache.note_miss(key)
-                    out = compute()
+                    out = _run_job_task(cfg, graph)
                     self.cache.put(key, out)
                 finally:
                     self._singleflight.done(key)
@@ -583,14 +569,13 @@ class AmstDaemon:
 
 
 # ----------------------------------------------------------------------
-# Job bodies (module-level: picklable for pool-mode fan-out)
+# Job bodies
 # ----------------------------------------------------------------------
-def _run_job_task(cfg: AmstConfig, graph) -> tuple:
-    """One simulator run; accepts a shm handle or a plain graph."""
+def _run_job_task(cfg: AmstConfig, graph: CSRGraph):
+    """One simulator run: the ``AmstOutput`` a ``run`` job caches."""
     from ..core.accelerator import Amst
-    from ..graph.shm import resolve_graph
 
-    return (Amst(cfg).run(resolve_graph(graph)),)
+    return Amst(cfg).run(graph)
 
 
 def _run_payload(out, cfg: AmstConfig) -> dict:
@@ -684,7 +669,11 @@ def _graph_from_edges(spec: object) -> CSRGraph:
                               or max(u.max(), v.max()) >= n)):
         raise ServeError("bad_request",
                          "vertex ids must lie in [0, num_vertices)")
-    return from_edges(n, u, v, w)
+    try:
+        return from_edges(n, u, v, w)
+    except ValueError as exc:
+        raise ServeError("bad_request", str(exc),
+                         {"field": "edges"}) from exc
 
 
 # ----------------------------------------------------------------------

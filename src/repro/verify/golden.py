@@ -12,9 +12,8 @@ them intentionally (review the diff in the PR!).
 Everything a record contains is deterministic: graphs come from seeded
 generators, cycles are pure arithmetic over integer counts, and floats
 are serialized via Python's shortest-repr.  That makes the layer also a
-*determinism* check: ``check_golden(..., jobs=N)`` recomputes records in
-a process pool via :mod:`repro.bench.executor` and must match the
-serial bytes exactly (tested in ``tests/verify/test_golden.py``).
+*determinism* check: recomputing a record must reproduce the blessed
+bytes exactly (tested in ``tests/verify/test_golden.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..bench.executor import TaskSpec, execute
 from ..core import Amst, AmstConfig
 from ..graph import from_edges, paper_example, rmat, road_lattice
 from ..graph.csr import CSRGraph
@@ -46,8 +44,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# The canonical suite.  Builders are module-level functions so golden
-# tasks stay picklable for the --jobs path.
+# The canonical suite.
 # ----------------------------------------------------------------------
 def _graph_paper() -> CSRGraph:
     return paper_example()
@@ -115,18 +112,10 @@ def _config_record(cfg: AmstConfig) -> dict:
     }
 
 
-def compute_golden_record(name: str, graph=None) -> dict:
-    """Run one golden case (with self-check armed) and snapshot it.
-
-    ``graph`` optionally supplies the case's graph — either directly or
-    as a :class:`~repro.graph.shm.SharedGraphHandle` published by the
-    parent of a ``--jobs N`` recomputation; by default it is rebuilt
-    from the case's seeded generator (identical bytes either way).
-    """
-    from ..graph.shm import resolve_graph
-
+def compute_golden_record(name: str) -> dict:
+    """Run one golden case (with self-check armed) and snapshot it."""
     case = GOLDEN_CASES[name]
-    graph = case.graph_fn() if graph is None else resolve_graph(graph)
+    graph = case.graph_fn()
     out = Amst(case.config.with_(self_check=True)).run(graph)
     res, rep = out.result, out.report
     return {
@@ -166,36 +155,13 @@ def compute_golden_record(name: str, graph=None) -> dict:
     }
 
 
-def _golden_task(name: str, graph=None) -> tuple:
-    """Picklable executor task body (single-element tuple for run_task)."""
-    return (compute_golden_record(name, graph=graph),)
-
-
 def compute_golden_records(
-    names: list[str] | None = None, *, jobs: int = 1
+    names: list[str] | None = None,
 ) -> dict[str, dict]:
-    """Compute records, optionally fanning across a process pool.
-
-    On the parallel path each case's graph is built once in the parent
-    and published through the shared-memory store, so workers attach
-    the CSR arrays instead of regenerating (or unpickling) them; the
-    records stay byte-identical to serial recomputation.
-    """
-    from ..graph.shm import GraphStore
-
+    """Compute the records of ``names`` (default: every case), in order."""
     if names is None:
         names = list(GOLDEN_CASES)
-    with GraphStore() as store:
-        tasks = []
-        for n in names:
-            kwargs: dict = {"name": n}
-            if jobs > 1 and len(names) > 1:
-                kwargs["graph"] = store.publish_graph(
-                    GOLDEN_CASES[n].graph_fn())
-            tasks.append(
-                TaskSpec(key=f"golden.{n}", fn=_golden_task, kwargs=kwargs))
-        results = execute(tasks, jobs=jobs)
-    return {n: group[0] for n, group in zip(names, results)}
+    return {n: compute_golden_record(n) for n in names}
 
 
 def serialize_record(record: dict) -> str:
@@ -229,11 +195,10 @@ def check_golden(
     names: list[str] | None = None,
     *,
     directory: str | Path | None = None,
-    jobs: int = 1,
 ) -> list[GoldenDiff]:
     """Recompute the suite and diff against blessed files."""
     directory = golden_dir(directory)
-    records = compute_golden_records(names, jobs=jobs)
+    records = compute_golden_records(names)
     diffs: list[GoldenDiff] = []
     for name, record in records.items():
         path = directory / f"{name}.json"
@@ -261,12 +226,11 @@ def update_golden(
     names: list[str] | None = None,
     *,
     directory: str | Path | None = None,
-    jobs: int = 1,
 ) -> list[Path]:
     """(Re)write blessed snapshots; returns the files written."""
     directory = golden_dir(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    records = compute_golden_records(names, jobs=jobs)
+    records = compute_golden_records(names)
     written = []
     for name, record in records.items():
         path = directory / f"{name}.json"

@@ -34,12 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import Amst, AmstConfig
+from ..core import AmstConfig
 from ..graph.csr import CSRGraph
 from ..obs.context import current_telemetry
 from ..mst import (
     boruvka,
-    certify_minimum_forest,
     filter_kruskal,
     kruskal,
     prim,
@@ -238,34 +237,7 @@ def _sim_components_per_iteration(out) -> list[int]:
     return counts
 
 
-def _oracle_ref_task(algo, graph) -> tuple:
-    """Worker body: one reference MST over the shared graph."""
-    from ..graph.shm import resolve_graph
-
-    return (algo(resolve_graph(graph)),)
-
-
-def _oracle_sim_task(cfg: AmstConfig, graph, certify: bool) -> tuple:
-    """Worker body: one simulator run plus its derived check inputs.
-
-    Returns a small ``(result, sim_comps, cert_error)`` payload instead
-    of the whole :class:`AmstOutput`, so only the forest travels back
-    through the pool.
-    """
-    from ..graph.shm import resolve_graph
-
-    g = resolve_graph(graph)
-    out = Amst(cfg).run(g)
-    cert_error = None
-    if certify:
-        try:
-            certify_minimum_forest(g, out.result.edge_ids)
-        except AssertionError as exc:
-            cert_error = str(exc)
-    return ((out.result, _sim_components_per_iteration(out), cert_error),)
-
-
-def _serial_runs(graph, references, configs, certify, cache):
+def _compute_runs(graph, references, configs, certify, cache):
     """Compute every oracle input in-process (optionally cached).
 
     Simulator configurations that imply the same preprocessing — same
@@ -318,45 +290,6 @@ def _serial_runs(graph, references, configs, certify, cache):
     return ref_results, ref_boruvka, sim_payloads
 
 
-def _parallel_runs(graph, references, configs, certify, jobs):
-    """Fan every reference and simulator run across the process pool.
-
-    The graph is published once through the shared-memory store; every
-    worker attaches the same physical CSR arrays (or unpickles the
-    graph on the fallback path).  Collection order is deterministic, so
-    the assembled report is byte-identical to the serial one.
-    """
-    from ..bench.executor import TaskSpec, execute
-    from ..graph.shm import GraphStore
-
-    with GraphStore() as store:
-        shared = store.publish_graph(graph)
-        tasks = [
-            TaskSpec(key=f"oracle.ref.{name}", fn=_oracle_ref_task,
-                     kwargs={"algo": algo, "graph": shared})
-            for name, algo in references.items()
-        ]
-        need_boruvka = "boruvka" not in references
-        if need_boruvka:
-            tasks.append(TaskSpec(
-                key="oracle.ref.boruvka", fn=_oracle_ref_task,
-                kwargs={"algo": boruvka, "graph": shared},
-            ))
-        tasks.extend(
-            TaskSpec(key=f"oracle.sim.{label}", fn=_oracle_sim_task,
-                     kwargs={"cfg": cfg, "graph": shared,
-                             "certify": certify})
-            for label, cfg in configs.items()
-        )
-        groups = execute(tasks, jobs=jobs)
-
-    it = iter(groups)
-    ref_results = {name: next(it)[0] for name in references}
-    ref_boruvka = next(it)[0] if need_boruvka else ref_results["boruvka"]
-    sim_payloads = {label: next(it)[0] for label in configs}
-    return ref_results, ref_boruvka, sim_payloads
-
-
 def run_oracle(
     graph: CSRGraph,
     configs: dict[str, AmstConfig] | None = None,
@@ -364,7 +297,6 @@ def run_oracle(
     references: dict | None = None,
     certify: bool = True,
     cache=None,
-    jobs: int = 1,
 ) -> OracleReport:
     """Differentially verify simulator configuration(s) on one graph.
 
@@ -385,11 +317,7 @@ def run_oracle(
     cache:
         Optional :class:`~repro.bench.runcache.RunCache`: memoizes
         reference forests, preprocessing passes and whole simulator
-        runs under content-addressed keys (serial path only).
-    jobs:
-        ``> 1`` fans every reference and simulator run across a process
-        pool with the graph published via shared memory; the report is
-        byte-identical to ``jobs=1``.
+        runs under content-addressed keys.
     """
     if references is None:
         references = REFERENCES
@@ -408,12 +336,8 @@ def run_oracle(
         else nullcontext()
     )
     with oracle_scope:
-        if jobs > 1 and len(references) + len(configs) > 1:
-            ref_results, ref_boruvka, sim_payloads = _parallel_runs(
-                graph, references, configs, certify, jobs)
-        else:
-            ref_results, ref_boruvka, sim_payloads = _serial_runs(
-                graph, references, configs, certify, cache)
+        ref_results, ref_boruvka, sim_payloads = _compute_runs(
+            graph, references, configs, certify, cache)
 
     report = OracleReport(
         num_vertices=graph.num_vertices,

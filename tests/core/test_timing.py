@@ -113,8 +113,8 @@ class TestTimedSubsystem:
     def test_amst_output_pickles_round_trip(self):
         # The span recorder holds a threading.local and does not pickle;
         # Amst.run detaches it (and the proxies) before returning, and
-        # parallel workers ship AmstOutput back through pickle, so the
-        # full round trip is load-bearing for --jobs execution.
+        # the run cache's disk tier stores AmstOutput through pickle, so
+        # the full round trip is load-bearing.
         import pickle
 
         g = rmat(6, 6, rng=9)

@@ -65,17 +65,25 @@ class TestByteIdentity:
                               _serial(lattice).edge_ids)
         assert all(r.label == "scatter" for r in run.rounds)
 
-    def test_jobs_parity(self, lattice):
-        serial_run = run_fabric(lattice, 4, CFG, partitioner="edge-cut")
-        pool_run = run_fabric(lattice, 4, CFG, partitioner="edge-cut",
-                              jobs=2)
-        assert np.array_equal(serial_run.result.edge_ids,
-                              pool_run.result.edge_ids)
-        assert (
-            [o.report.total_cycles for o in serial_run.local_outputs]
-            == [o.report.total_cycles for o in pool_run.local_outputs]
-        )
-        assert serial_run.network.total_bytes == pool_run.network.total_bytes
+    def test_each_card_gets_a_task_span(self, lattice):
+        # cards run in-process; telemetry still sees one lane per card,
+        # nested under the local phase
+        from repro.obs import Telemetry
+        from repro.obs.context import activate, deactivate
+
+        tel = Telemetry()
+        previous = activate(tel)
+        try:
+            run = run_fabric(lattice, 3, CFG)
+        finally:
+            deactivate(previous)
+        spans = tel.spans.spans
+        local = next(s for s in spans if s.name == "fabric.local")
+        cards = [s for s in spans if s.category == "task"]
+        assert [s.name for s in cards] == [
+            f"task:fabric.card{c}" for c in range(3)]
+        assert all(s.parent_id == local.id for s in cards)
+        assert np.array_equal(run.result.edge_ids, _serial(lattice).edge_ids)
 
 
 class TestRoundStructure:

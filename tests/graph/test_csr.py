@@ -15,7 +15,6 @@ from repro.graph import (
     preprocess,
     rmat,
 )
-from repro.graph.shm import GraphStore, attach_graph
 from repro.mst import (
     boruvka,
     certify_minimum_forest,
@@ -78,6 +77,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="NaN"):
             from_edges(4, np.array([0, 1, 2]), np.array([1, 2, 3]),
                        np.array([1.0, np.nan, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CSRGraph(np.array([0, 1, 2]), np.array([1, 0]),
+                     np.array([bad, bad]), np.array([0, 0]))
+
+    def test_infinite_weights_rejected_by_from_edges(self):
+        # accepted, Amst.run returned a 1-edge forest of weight -inf with
+        # 3 components, Kruskal 3 edges of weight NaN, and run_oracle
+        # raised "-inf + inf in fsum"
+        with pytest.raises(ValueError, match="finite"):
+            from_edges(4, np.array([0, 1, 2, 0]), np.array([1, 2, 3, 2]),
+                       np.array([np.inf, -np.inf, np.inf, np.inf]))
 
     def test_arrays_are_immutable(self):
         g = _simple()
@@ -267,12 +280,6 @@ class TestEdgeRank:
         h = pickle.loads(pickle.dumps(g))
         assert h == g
         assert np.array_equal(h.edge_rank(), g.edge_rank())
-
-    def test_shm_attached_graph_has_equal_rank(self):
-        g = preprocess(rmat(7, 4, rng=5)).graph
-        with GraphStore() as store:
-            h = attach_graph(store.publish_graph(g))
-            assert np.array_equal(h.edge_rank(), g.edge_rank())
 
     def test_references_never_read_the_rank(self, monkeypatch):
         # the references keep their own (weight, eid) sorts, so a wrong

@@ -36,6 +36,9 @@ class TestUpdateBatch:
                         delete_eids=np.array([], dtype=np.int64))
         with pytest.raises(ValueError, match="NaN"):
             UpdateBatch.of(inserts=[(0, 1, float("nan"))])
+        for bad in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                UpdateBatch.of(inserts=[(0, 1, bad)])
         with pytest.raises(ValueError, match="duplicates"):
             UpdateBatch.of(deletes=[1, 1])
         with pytest.raises(ValueError, match="non-negative"):

@@ -4,8 +4,8 @@ One daemon session: publish a Table I dataset analog → 8 concurrent
 jobs from 2 clients at mixed priorities → every result byte-identical
 to a serial ``amst run`` → warm resubmission served from the RunCache
 (asserted through the ``serve.*`` and ``runcache.*`` metrics) →
-graceful shutdown that drains the queue and leaves **zero** shm
-segments.  Plus a subprocess boot of the real ``amst serve`` CLI.
+graceful shutdown that drains the queue and empties the registry.
+Plus a subprocess boot of the real ``amst serve`` CLI.
 """
 
 import json
@@ -17,7 +17,6 @@ import threading
 import pytest
 
 from repro.bench.datasets import load
-from repro.graph.shm import owned_segments
 from repro.serve import AmstDaemon, DaemonConfig, ServeClient
 
 from .conftest import assert_run_matches_serial, serial_run
@@ -43,7 +42,7 @@ class TestAcceptance:
             fp = pub["fingerprint"]
             assert pub["reused"] is False
             assert pub["num_edges"] > 0
-            assert pub["shm_segments"]
+            assert "shm_segments" not in pub
             # idempotent republication
             assert client.publish(dataset=tag, seed=seed,
                                   scale=scale)["reused"] is True
@@ -106,16 +105,13 @@ class TestAcceptance:
                 expected_a["edge_ids"])
             assert manifest["metrics"]
 
-            # -- graceful shutdown: drained, zero shm, session manifest
-            mine = set(daemon.registry.active_segments())
-            assert mine and mine <= set(owned_segments())
+            # -- graceful shutdown: drained, registry empty, manifest
             summary = client.shutdown(drain=True, timeout_s=60.0)
             assert summary["jobs"]["queued"] == 0
             assert summary["jobs"]["running"] == 0
             assert summary["jobs"]["done"] == 9
-            assert summary["shm_segments"] == []
-            assert daemon.registry.active_segments() == ()
-            assert not mine & set(owned_segments())
+            assert "shm_segments" not in summary
+            assert len(daemon.registry) == 0
             session = summary["session_manifest"]
             assert session and os.path.isdir(session)
             with open(os.path.join(session, "manifest.json"),
@@ -157,7 +153,7 @@ class TestCliSubprocess:
             assert_run_matches_serial(body, expected)
 
             summary = client.shutdown(drain=True, timeout_s=30.0)
-            assert summary["shm_segments"] == []
+            assert "shm_segments" not in summary
             out, _ = proc.communicate(timeout=30.0)
             assert proc.returncode == 0
             assert b"listening on" in out

@@ -3,7 +3,7 @@
 Every failure mode the issue names — worker crash mid-job, malformed
 request bytes, graph evicted under queued jobs — must surface as a
 structured protocol error while the daemon keeps serving, and a full
-shutdown must leave zero shared-memory segments behind.
+shutdown must leave the registry empty.
 """
 
 import json
@@ -12,7 +12,6 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.graph.shm import owned_segments
 from repro.serve import (
     AmstDaemon,
     DaemonConfig,
@@ -101,6 +100,20 @@ class TestMalformedRequests:
         assert status == 400
         assert reply["error"]["code"] == "bad_request"
         assert reply["error"]["details"]["literal"] == literal
+
+    def test_non_finite_edge_weight_is_400(self, make_daemon):
+        # 1e999 is standard JSON that parses to inf, so it passes the
+        # literal hook and must be rejected by the graph builder
+        daemon = make_daemon(workers=1)
+        body = (b'{"edges": {"num_vertices": 3, "u": [0, 1], '
+                b'"v": [1, 2], "w": [1.0, 1e999]}}')
+        status, reply = _raw_request(
+            daemon, "POST", "/v1/graphs", body=body,
+            headers={"Content-Type": "application/json"})
+        assert status == 400
+        assert reply["error"]["code"] == "bad_request"
+        assert "finite" in reply["error"]["message"]
+        assert len(daemon.registry) == 0
 
     def test_empty_body_is_400(self, make_daemon):
         daemon = make_daemon(workers=1)
@@ -202,19 +215,17 @@ class TestEvictionUnderLoad:
 
 
 class TestShutdownHygiene:
-    def test_graceful_shutdown_drains_and_unlinks(self, client_for):
+    def test_graceful_shutdown_drains(self, client_for):
         daemon = AmstDaemon(DaemonConfig(
             port=0, workers=2, allow_fault_injection=True)).start()
         client = client_for(daemon, timeout=120.0)
         fp = client.publish(edges=edge_payload(seed=10))["fingerprint"]
-        mine = set(daemon.registry.active_segments())
-        assert mine and mine <= set(owned_segments())
 
         jobs = [client.submit(kind="run", graph=fp,
                               params={"sleep_s": 0.2, **PARAMS})
                 for _ in range(3)]
         summary = client.shutdown(drain=True, timeout_s=60.0)
-        assert summary["shm_segments"] == []
+        assert "shm_segments" not in summary
         assert summary["jobs"]["queued"] == 0
         assert summary["jobs"]["running"] == 0
         assert summary["jobs"]["done"] == 3
@@ -222,8 +233,7 @@ class TestShutdownHygiene:
         # drained jobs completed with results despite the shutdown race
         for job in jobs:
             assert daemon.queue.get(job["id"]).state == "done"
-        assert daemon.registry.active_segments() == ()
-        assert not mine & set(owned_segments())
+        assert len(daemon.registry) == 0
 
         # post-shutdown admissions are structured 503s (if the
         # listener is already down, connection refusal is also fine)
@@ -247,6 +257,6 @@ class TestShutdownHygiene:
                    for _ in range(2)]
         summary = client.shutdown(drain=False, timeout_s=30.0)
         assert summary["jobs"]["cancelled"] == 2
-        assert summary["shm_segments"] == []
+        assert "shm_segments" not in summary
         for job in backlog:
             assert daemon.queue.get(job["id"]).state == "cancelled"

@@ -72,8 +72,7 @@ def test_public_classes_have_docstrings():
 
 def test_cli_import_loads_no_multiprocessing():
     """`import repro.cli` (every `amst client` call pays it) must not
-    pull in multiprocessing or the shared-memory graph store; only the
-    commands that fan out or publish graphs import them."""
+    pull in multiprocessing; only `bench`/`sweep --jobs N` import it."""
     import os
     import subprocess
     import sys
@@ -86,8 +85,30 @@ def test_cli_import_loads_no_multiprocessing():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     probe = ("import sys, repro.cli; "
-             "print(sorted(m for m in ('multiprocessing', 'repro.graph.shm')"
+             "print(sorted(m for m in ('multiprocessing',)"
              " if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_shared_memory_graph_store_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.graph.shm")
+
+
+@pytest.mark.parametrize("path", [
+    "repro.verify.run_oracle",
+    "repro.verify.compute_golden_records",
+    "repro.verify.check_golden",
+    "repro.verify.update_golden",
+    "repro.core.run_scale_out",
+    "repro.fabric.run_fabric",
+])
+def test_single_graph_entry_points_take_no_jobs(path):
+    """The single-graph paths run in one process: no worker-pool knob."""
+    import inspect
+
+    module, name = path.rsplit(".", 1)
+    fn = getattr(importlib.import_module(module), name)
+    assert "jobs" not in inspect.signature(fn).parameters

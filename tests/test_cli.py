@@ -23,6 +23,13 @@ class TestParser:
         assert build_parser().parse_args(["bench"]).jobs == 1
         assert build_parser().parse_args(["sweep"]).jobs == 1
 
+    @pytest.mark.parametrize("command", ["run", "verify", "scaleout"])
+    def test_single_graph_commands_reject_jobs(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, "--jobs", "2"])
+        assert info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_profile_host_flag(self):
         args = build_parser().parse_args(["run", "--profile-host"])
         assert args.profile_host is True
@@ -132,12 +139,13 @@ class TestTelemetryCLI:
         assert (run_dir / "trace.json").exists()
         assert validate_run_dir(run_dir) == []
 
-    def test_run_telemetry_jobs_merges_worker_spans(self, tmp_path):
+    def test_sweep_telemetry_jobs_merges_worker_spans(self, tmp_path):
         import json
 
         runs_dir = tmp_path / "runs"
-        assert main(["run", "--dataset", "EF", "--scale", "0.25",
-                     "--parallelism", "4", "--jobs", "2", "--telemetry",
+        assert main(["sweep", "--sweep", "all",
+                     "--dataset", "EF", "--scale", "0.1",
+                     "--cache-vertices", "64", "--jobs", "2", "--telemetry",
                      "--runs-dir", str(runs_dir), "--run-id", "t2"]) == 0
         trace = json.loads((runs_dir / "t2" / "trace.json").read_text())
         pids = {e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"}
@@ -198,7 +206,7 @@ class TestVerifyCommand:
         args = build_parser().parse_args(["verify"])
         assert args.update_golden is False
         assert args.case is None
-        assert args.jobs == 1
+        assert not hasattr(args, "jobs")
 
     def test_run_self_check_flag(self, capsys):
         assert main(["run", "--dataset", "EF", "--scale", "0.1",

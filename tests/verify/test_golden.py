@@ -8,7 +8,6 @@ from repro.verify import (
     GOLDEN_CASES,
     check_golden,
     compute_golden_record,
-    compute_golden_records,
     golden_dir,
     serialize_record,
     update_golden,
@@ -47,16 +46,6 @@ class TestBlessedSuite:
 
 
 class TestDeterminism:
-    def test_serial_and_parallel_records_are_byte_identical(self):
-        """Satellite S4: --jobs N must not change a single byte."""
-        names = ["paper-full", "road-baseline", "dup-forest-full"]
-        serial = compute_golden_records(names, jobs=1)
-        parallel = compute_golden_records(names, jobs=2)
-        for n in names:
-            assert serialize_record(serial[n]) == serialize_record(
-                parallel[n]
-            )
-
     def test_recomputing_twice_is_identical(self):
         a = serialize_record(compute_golden_record("rmat-full"))
         b = serialize_record(compute_golden_record("rmat-full"))

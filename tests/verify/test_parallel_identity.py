@@ -1,39 +1,19 @@
-"""Cross-process / cached byte-identity of the multi-run stack.
+"""Byte-identity of the content-addressed run cache.
 
-Satellite of the zero-copy execution layer: every transport change —
-shared-memory graph handles, process-pool fan-out, the content-addressed
-run cache — must be *invisible* in the outputs.  Property tests drive
-the adversarial graph strategies through:
-
-* ``run_scale_out(jobs=N)`` vs serial — identical edge-id sets, weights
-  and modelled reports;
-* ``run_oracle(cache=...)`` / ``run_oracle(jobs=N)`` vs plain — the
-  same entries and the byte-identical formatted report;
-* golden-trace recomputation with ``jobs=N`` (shared-memory path) vs
-  serial — byte-identical JSON.
-
-Pool spin-up per example is expensive, so example counts are small; the
-deterministic suites in ``test_golden.py`` / ``test_scale_out.py`` carry
-the bulk coverage.
+The run cache must be *invisible* in the outputs: ``run_oracle`` with a
+cold or warm :class:`~repro.bench.runcache.RunCache` returns the same
+entries and the byte-identical formatted report as without one, on the
+adversarial graph strategies.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.bench.runcache import RunCache
-from repro.core import AmstConfig, run_scale_out
+from repro.core import AmstConfig
 from repro.verify import run_oracle
-from repro.verify.golden import compute_golden_records, serialize_record
 from repro.verify.strategies import graphs
 
-CFG = AmstConfig.full(4, cache_vertices=32)
-
-POOLED = settings(
-    max_examples=5,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 CACHED = settings(
     max_examples=15,
     deadline=None,
@@ -45,36 +25,6 @@ ORACLE_CONFIGS = {
     "no-hdc": AmstConfig(parallelism=2, cache_vertices=16,
                          use_hdc=False, hash_cache=False),
 }
-
-
-def _assert_scale_out_equal(a, b):
-    np.testing.assert_array_equal(a.result.edge_ids, b.result.edge_ids)
-    assert a.result.total_weight == b.result.total_weight
-    assert a.result.num_components == b.result.num_components
-    assert a.report.cut_edges == b.report.cut_edges
-    assert a.report.local_seconds == b.report.local_seconds
-    assert a.report.merge_seconds == b.report.merge_seconds
-    for x, y in zip(a.report.local_outputs, b.report.local_outputs):
-        assert x.report.total_cycles == y.report.total_cycles
-        assert x.report.dram_blocks == y.report.dram_blocks
-        np.testing.assert_array_equal(x.result.edge_ids, y.result.edge_ids)
-        assert x.state.graph == y.state.graph
-
-
-class TestScaleOutParallelIdentity:
-    @POOLED
-    @given(graphs(min_vertices=4, max_vertices=20, max_edges=48))
-    def test_jobs_matches_serial(self, g):
-        serial = run_scale_out(g, 3, CFG)
-        pooled = run_scale_out(g, 3, CFG, jobs=2)
-        _assert_scale_out_equal(serial, pooled)
-
-    @POOLED
-    @given(graphs(min_vertices=2, max_vertices=16, max_edges=40))
-    def test_jobs_matches_serial_hash_strategy(self, g):
-        serial = run_scale_out(g, 2, CFG, partitioner="hash")
-        pooled = run_scale_out(g, 2, CFG, partitioner="hash", jobs=2)
-        _assert_scale_out_equal(serial, pooled)
 
 
 class TestOracleCacheIdentity:
@@ -95,23 +45,3 @@ class TestOracleCacheIdentity:
                     plain.entries[name].exact_weight
             assert other.format() == plain.format()
         assert cache.stats()["hits"] > 0  # the warm pass actually reused work
-
-    @POOLED
-    @given(graphs(max_vertices=14, max_edges=30))
-    def test_parallel_oracle_matches_serial(self, g):
-        serial = run_oracle(g, ORACLE_CONFIGS)
-        pooled = run_oracle(g, ORACLE_CONFIGS, jobs=2)
-        assert pooled.format() == serial.format()
-        assert pooled.ok == serial.ok
-
-
-class TestGoldenParallelIdentity:
-    @pytest.mark.parametrize("names", [
-        ["paper-full", "dup-forest-full", "dup-forest-nohdc"],
-    ])
-    def test_shared_memory_records_byte_identical(self, names):
-        serial = compute_golden_records(names, jobs=1)
-        pooled = compute_golden_records(names, jobs=2)
-        for n in names:
-            assert serialize_record(pooled[n]) == \
-                serialize_record(serial[n])
