@@ -15,13 +15,13 @@ Three workloads:
    regime: CI re-runs, golden recomputation).  Criterion: warm-cache
    wall-clock speedup ≥ 2x over serial/uncached.
 2. **Scale-out phase 1 at N cards** — the modelled local-phase time
-   (``report.local_seconds``: max over cards, which run concurrently in
-   hardware) versus the single-card run.  Criterion: ≥ (cards/2)x at
+   (``FabricRun.local_seconds``: max over cards, which run concurrently
+   in hardware) versus the single-card run.  Criterion: ≥ (cards/2)x at
    4 cards.  The host wall clock of the in-process card loop is
    recorded alongside.
 3. **Vectorized edge partition** — the single sort+bincount scan of
-   ``_partition_edges`` against the ``num_cards`` boolean sweeps it
-   replaced.
+   ``shard_slices`` (the path the fabric runs) against the
+   ``num_cards`` boolean sweeps it replaced.
 
 Every run re-verifies byte-identity along the way (cached oracle report
 == uncached report; partitioned edge shards == the boolean sweeps) so a
@@ -40,8 +40,9 @@ import numpy as np
 
 from repro.bench import RunCache, load
 from repro.bench.benchio import write_bench_json
-from repro.core import AmstConfig, run_scale_out
-from repro.fabric.partition import _partition_edges, partition_vertices
+from repro.core import AmstConfig
+from repro.fabric import partition_vertices, run_fabric
+from repro.fabric.partition import shard_slices
 from repro.verify.oracle import run_oracle
 
 
@@ -81,17 +82,17 @@ def bench_oracle(graph, rounds: int) -> dict:
 def bench_scale_out_phase1(graph, cards: int, rounds: int) -> dict:
     cfg = AmstConfig.full(16, cache_vertices=4096)
 
-    _, one = _best_of(lambda: run_scale_out(graph, 1, cfg), 1)
+    _, one = _best_of(lambda: run_fabric(graph, 1, cfg), 1)
     serial_s, serial = _best_of(
-        lambda: run_scale_out(graph, cards, cfg), rounds)
+        lambda: run_fabric(graph, cards, cfg), rounds)
     return {
         "cards": cards,
-        "modelled_local_s_1card": one.report.local_seconds,
-        "modelled_local_s": serial.report.local_seconds,
-        "modelled_phase1_speedup": (one.report.local_seconds
-                                    / serial.report.local_seconds),
+        "modelled_local_s_1card": one.local_seconds,
+        "modelled_local_s": serial.local_seconds,
+        "modelled_phase1_speedup": (one.local_seconds
+                                    / serial.local_seconds),
         "host_total_serial_s": serial_s,
-        "host_phase1_serial_s": serial.report.host_phase1_seconds,
+        "host_phase1_serial_s": serial.host_phase1_seconds,
     }
 
 
@@ -101,19 +102,16 @@ def bench_partition(graph, rounds: int) -> list[dict]:
     The sweep cost is O(cards * m); the sort-based scan is O(m log m)
     once — a wash at 4 cards, an order of magnitude beyond 16.
     """
-    u, v, _ = graph.edge_endpoints()
+    u, _, _ = graph.edge_endpoints()
     results = []
     for cards in (4, 16, 64):
-        part = partition_vertices(graph.num_vertices, cards)
-        edge_card = part[u]
-        internal = edge_card == part[v]
+        edge_card = partition_vertices(graph.num_vertices, cards)[u]
 
         def legacy():
-            return [np.flatnonzero(internal & (edge_card == c))
-                    for c in range(cards)]
+            return [np.flatnonzero(edge_card == c) for c in range(cards)]
 
         def vectorized():
-            return _partition_edges(edge_card, internal, cards)
+            return shard_slices(edge_card, cards)
 
         legacy_s, per_card = _best_of(legacy, rounds * 3)
         vec_s, (sorted_eids, bounds) = _best_of(vectorized, rounds * 3)

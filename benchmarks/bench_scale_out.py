@@ -4,8 +4,9 @@ Two entry points:
 
 * pytest-benchmark table (``bench_scale_out``): partitioned Borůvka
   across 1-8 cards on the densest analog (CF) — local phase shrinks
-  with card count while message exchange and the merge run grow, the
-  classic strong-scaling trade-off.
+  with card count while network traffic and the merge run grow, the
+  classic strong-scaling trade-off.  "Total ms" is
+  ``FabricRun.modelled_seconds`` (local + network + merge).
 
 * standalone gate (``python benchmarks/bench_scale_out.py --check``):
   the fabric partitioner sweep.  Every (partitioner × card-count)
@@ -25,7 +26,8 @@ import pytest
 
 from repro.bench import load
 from repro.bench.runner import ExperimentResult
-from repro.core import AmstConfig, run_scale_out
+from repro.core import AmstConfig
+from repro.fabric import run_fabric
 
 
 def bench_scale_out(benchmark, record_table, scale, seed, cache_vertices):
@@ -33,27 +35,27 @@ def bench_scale_out(benchmark, record_table, scale, seed, cache_vertices):
         res = ExperimentResult(
             "Ext-scaleout",
             "Multi-card partitioned MST (CF analog, range partition)",
-            ("Cards", "Edges/card", "Local ms", "Exchange ms", "Merge ms",
+            ("Cards", "Edges/card", "Local ms", "Network ms", "Merge ms",
              "Total ms", "Cut edges", "Speedup"),
         )
         g = load("CF", seed=seed, size=scale)
         cfg = AmstConfig.full(16, cache_vertices=cache_vertices)
         base = None
         for cards in (1, 2, 4, 8):
-            r = run_scale_out(g, cards, cfg)
-            total = r.report.total_seconds
+            r = run_fabric(g, cards, cfg)
+            total = r.modelled_seconds
             if base is None:
                 base = total
             per_card = max(
-                o.state.graph.num_edges for o in r.report.local_outputs)
+                o.state.graph.num_edges for o in r.local_outputs)
             res.add_row(
                 cards,
                 per_card,
-                round(r.report.local_seconds * 1e3, 3),
-                round(r.report.exchange_seconds * 1e3, 3),
-                round(r.report.merge_seconds * 1e3, 3),
+                round(r.local_seconds * 1e3, 3),
+                round(r.network.total_seconds * 1e3, 3),
+                round(r.merge_seconds * 1e3, 3),
                 round(total * 1e3, 3),
-                r.report.cut_edges,
+                r.plan.stats.cut_edges,
                 round(base / total, 2),
             )
         res.add_note(
@@ -81,7 +83,6 @@ def sweep_partitioners(dataset, size, seed, parallelism, net_profile):
     import numpy as np
 
     from repro.core import Amst
-    from repro.fabric import run_fabric
 
     g = load(dataset, seed=seed, size=size)
     cfg = AmstConfig.full(parallelism)

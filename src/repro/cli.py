@@ -268,7 +268,7 @@ def _cmd_scaleout(args: argparse.Namespace) -> int:
 
 def _cmd_scaleout_body(args: argparse.Namespace, tel) -> int:
     """Partitioned multi-card run (cards modelled, run in-process)."""
-    from .core import run_scale_out
+    from .fabric import run_fabric
 
     g = load(args.dataset, seed=args.seed, size=args.scale)
     cache = args.cache_vertices or default_cache_vertices(args.scale)
@@ -280,45 +280,42 @@ def _cmd_scaleout_body(args: argparse.Namespace, tel) -> int:
             graph_fingerprint=graph_fingerprint(g),
             config_fingerprint=config_fingerprint(cfg),
         )
-    r = run_scale_out(g, args.cards, cfg, partitioner=args.partitioner,
-                      net_profile=args.net_profile)
-    rep = r.report
+    r = run_fabric(g, args.cards, cfg, partitioner=args.partitioner,
+                   net_profile=args.net_profile)
+    stats, net = r.plan.stats, r.network
     if tel is not None:
-        tel.record_output(rep.merge_output)
+        tel.record_output(r.merge_output)
         tel.summary = {
             "dataset": args.dataset,
-            "cards": rep.num_cards,
-            "partitioner": rep.partitioner,
-            "net_profile": rep.net_profile,
-            "cut_edges": rep.cut_edges,
-            "rounds": rep.num_rounds,
-            "messages": rep.messages,
-            "message_bytes": rep.message_bytes,
+            "cards": stats.num_cards,
+            "partitioner": r.plan.name,
+            "net_profile": r.profile.name,
+            "cut_edges": stats.cut_edges,
+            "rounds": len(r.rounds),
+            "messages": net.total_messages,
+            "message_bytes": net.total_bytes,
             "forest_edges": int(r.result.num_edges),
             "total_weight": float(r.result.total_weight),
         }
     print(f"dataset      : {args.dataset} "
           f"(n={g.num_vertices:,}, m={g.num_edges:,})")
-    print(f"cards        : {rep.num_cards} ({rep.partitioner} partition)")
+    print(f"cards        : {stats.num_cards} ({r.plan.name} partition)")
     print(f"forest       : {r.result.num_edges:,} edges, "
           f"weight {r.result.total_weight:,.0f}, "
           f"{r.result.num_components} component(s)")
-    print(f"cut edges    : {rep.cut_edges:,} "
-          f"({100 * rep.partition_stats.get('cut_fraction', 0.0):.1f}% "
-          f"of edges)" if rep.partition_stats else
-          f"cut edges    : {rep.cut_edges:,}")
-    print(f"fabric       : {rep.num_rounds} round(s), "
-          f"{rep.messages:,} message(s), {rep.message_bytes:,} bytes, "
-          f"{rep.boundary_edges:,} boundary record(s)")
-    print(f"network      : {rep.net_profile} — scatter "
-          f"{rep.scatter_seconds * 1e3:.3f} ms, reduce "
-          f"{rep.exchange_seconds * 1e3:.3f} ms")
-    print(f"modelled time: local {rep.local_seconds * 1e3:.3f} ms + "
-          f"exchange {rep.exchange_seconds * 1e3:.3f} ms + "
-          f"merge {rep.merge_seconds * 1e3:.3f} ms = "
-          f"{rep.total_seconds * 1e3:.3f} ms")
-    print(f"host phase 1 : {rep.host_phase1_seconds:.3f} s wall clock")
-    print(f"energy       : {rep.energy_joules * 1e3:.3f} mJ")
+    print(f"cut edges    : {stats.cut_edges:,} "
+          f"({100 * stats.cut_fraction:.1f}% of edges)")
+    print(f"fabric       : {len(r.rounds)} round(s), "
+          f"{net.total_messages:,} message(s), {net.total_bytes:,} bytes, "
+          f"{r.boundary_edges:,} boundary record(s)")
+    print(f"network      : {r.profile.name} ({r.profile.topology})")
+    print(f"modelled time: local {r.local_seconds * 1e3:.3f} ms + "
+          f"scatter {net.scatter_seconds * 1e3:.3f} ms + "
+          f"reduce {net.reduce_seconds * 1e3:.3f} ms + "
+          f"merge {r.merge_seconds * 1e3:.3f} ms = "
+          f"{r.modelled_seconds * 1e3:.3f} ms")
+    print(f"host phase 1 : {r.host_phase1_seconds:.3f} s wall clock")
+    print(f"energy       : {r.energy_joules * 1e3:.3f} mJ")
     if args.validate:
         from .mst import kruskal, validate_mst
 

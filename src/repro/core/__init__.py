@@ -11,8 +11,6 @@ from .selfcheck import (
     check_report_consistency,
     check_state_invariants,
 )
-from ..fabric.partition import partition_vertices, validate_num_cards
-from .scale_out import ScaleOutReport, ScaleOutResult, run_scale_out
 from .sorting_network import (
     SortingNetwork,
     bitonic_sort_pairs,
@@ -59,9 +57,4 @@ __all__ = [
     "save_trace_csv",
     "save_trace_json",
     "format_profile",
-    "run_scale_out",
-    "ScaleOutResult",
-    "ScaleOutReport",
-    "partition_vertices",
-    "validate_num_cards",
 ]

@@ -206,10 +206,6 @@ class PerfReport:
             "total_seconds", 0.0))
 
     @property
-    def seconds_with_network(self) -> float:
-        return self.seconds + self.network_seconds
-
-    @property
     def energy_joules(self) -> float:
         return self.seconds * self.power_watts
 

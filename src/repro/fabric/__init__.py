@@ -3,8 +3,9 @@
 Modelled cards running their edge shards in-process, typed
 inter-card messages grouped into synchronization rounds, an explicit
 network model (bandwidth/latency/topology → modelled transfer time),
-and a pluggable partitioner registry.  ``repro.core.run_scale_out`` and
-``amst scaleout`` run on top of this package; see docs/SCALE_OUT.md.
+and four edge partitioners.  :func:`run_fabric` is the one multi-card
+entry point and :class:`FabricRun` its report; ``amst scaleout`` runs
+on top of it.  See docs/SCALE_OUT.md.
 """
 
 from .fabric import FabricError, FabricRun, run_fabric
@@ -29,11 +30,9 @@ from .partition import (
     PARTITIONERS,
     PartitionPlan,
     PartitionStats,
-    get_partitioner,
     list_partitioners,
     partition_vertices,
     plan_edges,
-    register_partitioner,
     validate_num_cards,
 )
 
@@ -53,13 +52,11 @@ __all__ = [
     "ShardScatter",
     "SyncRound",
     "get_net_profile",
-    "get_partitioner",
     "list_net_profiles",
     "list_partitioners",
     "model_rounds",
     "partition_vertices",
     "plan_edges",
-    "register_partitioner",
     "run_fabric",
     "traffic_summary",
     "validate_num_cards",

@@ -5,7 +5,7 @@ pre-fabric "one process loops over cards" model:
 
 1. **Scatter** (round 0) — the host ships every card its edge shard
    (one :class:`~repro.fabric.messages.ShardScatter` per card).  Shards
-   come from a pluggable partitioner (:mod:`repro.fabric.partition`)
+   come from one of the partitioners in :mod:`repro.fabric.partition`
    and form an exact partition of the edge set.
 2. **Local phase** — each card runs the full AMST simulator on its
    shard and keeps only its local minimum spanning forest.  Cards are
@@ -30,6 +30,10 @@ must equal the forest produced by one authoritative AMST merge run over
 the union of local MSFs (the MST-composability path the oracle gates).
 A mismatch raises :class:`FabricError` instead of returning silently
 wrong data.
+
+One card is one plain simulator run over the whole graph: no scatter,
+no reduce rounds and no merge run, so its modelled time, energy and
+result equal ``Amst(cfg).run(graph)``.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 
 from ..core.accelerator import Amst, AmstOutput
 from ..core.config import AmstConfig
+from ..graph.builders import from_arrays
 from ..graph.csr import CSRGraph
 from ..mst.result import MSTResult
 from ..obs.context import current_telemetry
@@ -56,13 +61,27 @@ from .messages import (
 )
 from .netmodel import NetProfile, NetworkCostReport, get_net_profile, model_rounds
 from .partition import PartitionPlan, plan_edges
-from .worker import card_task, edge_subgraph
 
 __all__ = ["FabricError", "FabricRun", "run_fabric"]
 
 
 class FabricError(RuntimeError):
     """A fabric-level invariant was violated (e.g. merge disagreement)."""
+
+
+def _edge_subgraph(
+    num_vertices: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    keep: np.ndarray,
+) -> CSRGraph:
+    """Subgraph over the edge ids ``keep`` of the canonical endpoint arrays.
+
+    Vertex ids are preserved (isolated vertices are fine for the
+    simulator); the subgraph's edge id ``e`` is ``keep[e]`` in the input.
+    """
+    return from_arrays(num_vertices, u[keep], v[keep], w[keep])
 
 
 def _forest_union(
@@ -166,13 +185,38 @@ class FabricRun:
 
     @property
     def merge_seconds(self) -> float:
+        """Merge-run compute; 0.0 for one card, which has no merge run."""
+        if self.plan.num_cards == 1:
+            return 0.0
         return self.merge_output.report.seconds
 
     @property
     def modelled_seconds(self) -> float:
-        """Local compute + modelled network + merge compute."""
+        """Local compute + scatter + reduce + merge compute."""
         return (self.local_seconds + self.network.total_seconds
                 + self.merge_seconds)
+
+    @property
+    def energy_joules(self) -> float:
+        """Energy of every simulator run: the cards plus the merge run."""
+        runs = self.local_outputs
+        if self.plan.num_cards > 1:
+            runs += (self.merge_output,)
+        return sum(o.report.energy_joules for o in runs)
+
+
+def _record_gauges(run: FabricRun) -> None:
+    tel = current_telemetry()
+    if tel is None:
+        return
+    g = tel.metrics
+    g.set_gauge("fabric.cards", run.plan.num_cards)
+    g.set_gauge("fabric.rounds", len(run.rounds))
+    g.set_gauge("fabric.messages", run.network.total_messages)
+    g.set_gauge("fabric.bytes", run.network.total_bytes)
+    g.set_gauge("fabric.cut_edges", run.plan.stats.cut_edges)
+    g.set_gauge("fabric.boundary_edges", run.boundary_edges)
+    g.set_gauge("fabric.merge_edges", run.merge_output.report.num_edges)
 
 
 def run_fabric(
@@ -187,7 +231,9 @@ def run_fabric(
 
     The forest is byte-identical to a serial ``Amst(cfg).run(graph)``
     for every partitioner and card count (enforced by tests *and* by
-    the runtime reduction-vs-merge cross-check below).
+    the runtime reduction-vs-merge cross-check below).  The card count,
+    partitioner and network profile are validated for every card
+    count, one included.
     """
     cfg = config if config is not None else AmstConfig.full()
     profile = get_net_profile(net_profile)
@@ -205,6 +251,25 @@ def run_fabric(
         sorted_eids, bounds = plan.shards()
     num_cards = plan.num_cards  # validated int
 
+    if num_cards == 1:
+        t0 = time.perf_counter()
+        with phase("fabric.local"):
+            out = Amst(cfg).run(graph)
+        run = FabricRun(
+            result=out.result,
+            plan=plan,
+            profile=profile,
+            local_outputs=(out,),
+            merge_output=out,
+            forest_eids=out.result.edge_ids,
+            rounds=(),
+            network=model_rounds(profile, (), 1),
+            boundary_edges=0,
+            host_phase1_seconds=time.perf_counter() - t0,
+        )
+        _record_gauges(run)
+        return run
+
     scatter = SyncRound(
         index=0, label="scatter",
         messages=tuple(
@@ -216,16 +281,23 @@ def run_fabric(
 
     # ---- local phase: one simulator run per card, in-process
     t0 = time.perf_counter()
-    pairs = []
+    local_outputs, msf_eids = [], []
     with phase("fabric.local"):
         for card in range(num_cards):
             keep = sorted_eids[bounds[card]:bounds[card + 1]]
             with phase(f"task:fabric.card{card}", category="task"):
-                pairs.append(card_task(u, v, w, keep, graph.num_vertices,
-                                       cfg))
+                out = Amst(cfg).run(_edge_subgraph(
+                    graph.num_vertices, u, v, w, keep))
+                if tel is not None:
+                    tel.metrics.inc("fabric.worker.runs")
+                    tel.metrics.inc("fabric.worker.shard_edges",
+                                    int(keep.size))
+                    tel.metrics.inc("fabric.worker.msf_edges",
+                                    int(out.result.edge_ids.size))
+            local_outputs.append(out)
+            # a card ships only its surviving forest records
+            msf_eids.append(keep[out.result.edge_ids])
     host_phase1 = time.perf_counter() - t0
-    local_outputs = tuple(out for out, _ in pairs)
-    msf_eids = [eids for _, eids in pairs]
 
     # ---- reduce: binomial message-passing merge of the local forests
     with phase("fabric.reduce"):
@@ -238,8 +310,8 @@ def run_fabric(
     with phase("fabric.merge"):
         merge_eids = np.unique(np.concatenate(
             [np.asarray(e, dtype=np.int64) for e in msf_eids]))
-        merge_graph = edge_subgraph(graph.num_vertices, u, v, w,
-                                    merge_eids)
+        merge_graph = _edge_subgraph(graph.num_vertices, u, v, w,
+                                     merge_eids)
         merge_out = Amst(cfg).run(merge_graph)
     final_eids = merge_eids[merge_out.result.edge_ids]
 
@@ -264,15 +336,6 @@ def run_fabric(
         "partition_stats": plan.stats.to_dict(),
     })
 
-    if tel is not None:
-        g = tel.metrics
-        g.set_gauge("fabric.cards", num_cards)
-        g.set_gauge("fabric.rounds", len(rounds))
-        g.set_gauge("fabric.messages", network.total_messages)
-        g.set_gauge("fabric.bytes", network.total_bytes)
-        g.set_gauge("fabric.cut_edges", plan.stats.cut_edges)
-        g.set_gauge("fabric.boundary_edges", boundary_edges)
-
     result = MSTResult(
         edge_ids=final_eids,
         total_weight=float(w[final_eids].sum()),
@@ -284,11 +347,11 @@ def run_fabric(
             "net_profile": profile.name,
         },
     )
-    return FabricRun(
+    run = FabricRun(
         result=result,
         plan=plan,
         profile=profile,
-        local_outputs=local_outputs,
+        local_outputs=tuple(local_outputs),
         merge_output=merge_out,
         forest_eids=final_eids,
         rounds=rounds,
@@ -296,3 +359,5 @@ def run_fabric(
         boundary_edges=int(boundary_edges),
         host_phase1_seconds=host_phase1,
     )
+    _record_gauges(run)
+    return run

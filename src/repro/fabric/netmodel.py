@@ -93,6 +93,7 @@ NET_PROFILES: dict[str, NetProfile] = {
 
 
 def get_net_profile(name: str) -> NetProfile:
+    """The named profile; ``ValueError`` lists the known names."""
     try:
         return NET_PROFILES[name]
     except KeyError:
@@ -103,6 +104,7 @@ def get_net_profile(name: str) -> NetProfile:
 
 
 def list_net_profiles() -> tuple[str, ...]:
+    """Names accepted by :func:`get_net_profile`, sorted."""
     return tuple(sorted(NET_PROFILES))
 
 

@@ -1,4 +1,4 @@
-"""Pluggable edge partitioners for the multi-card fabric.
+"""Edge partitioners for the multi-card fabric.
 
 A partitioner assigns **every undirected edge to exactly one card** (and
 every vertex to an owning card, used for boundary accounting).  This is
@@ -10,15 +10,18 @@ edge" side channel is needed for correctness.  Cut quality only affects
 *communication*: edges whose endpoints are owned by different cards put
 boundary records on the wire during the merge reduction.
 
-Three strategies ship (see docs/SCALE_OUT.md for the comparison
-methodology, following the edge-cut / 2-D taxonomy of Baer et al. and
-the per-node sharding of GraVF-M):
+Four strategies ship in :data:`PARTITIONERS` (see docs/SCALE_OUT.md
+for the comparison methodology, following the edge-cut / 2-D taxonomy
+of Baer et al. and the per-node sharding of GraVF-M):
 
 ``range``
     The original vertex-range block split: contiguous vertex ids per
     card, edge owned by the card of its lower endpoint.  Preserves the
     degree-sorted HDV prefix per card; edge balance tracks the degree
     distribution, so skew hurts.
+``hash``
+    Vertex id modulo cards, edge owned by its lower endpoint's card:
+    even vertex balance, locality-oblivious (high cut).
 ``edge-cut``
     Degree-weighted contiguous ranges: vertex boundaries are placed on
     the cumulative-degree curve so every card owns ~``m / cards`` edges.
@@ -30,19 +33,11 @@ the per-node sharding of GraVF-M):
     Balance no longer depends on any single vertex's degree (a hub's
     edges spread over a whole grid row), at the price of replicating
     vertices across cards.  Requires a composite card count.
-
-Registering a new strategy::
-
-    @register_partitioner("my-strategy", "one-line summary")
-    def _my_plan(num_vertices, u, v, num_cards):
-        ...
-        return edge_card, vertex_card, {"detail": ...}
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -50,11 +45,9 @@ __all__ = [
     "PartitionPlan",
     "PartitionStats",
     "PARTITIONERS",
-    "get_partitioner",
     "list_partitioners",
     "partition_vertices",
     "plan_edges",
-    "register_partitioner",
     "shard_slices",
     "validate_num_cards",
 ]
@@ -129,24 +122,6 @@ def shard_slices(
     return sorted_eids, bounds
 
 
-def _partition_edges(
-    edge_card: np.ndarray, internal: np.ndarray, num_cards: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked variant of :func:`shard_slices` (pre-fabric call shape).
-
-    Kept for the benchmark-trajectory scripts: only edges flagged in
-    ``internal`` are sharded; the rest are left out of every slice.
-    """
-    internal_eids = np.flatnonzero(internal)
-    cards = edge_card[internal_eids]
-    order = np.argsort(cards, kind="stable")
-    sorted_eids = internal_eids[order]
-    counts = np.bincount(cards, minlength=num_cards)
-    bounds = np.zeros(num_cards + 1, dtype=np.int64)
-    np.cumsum(counts[:num_cards], out=bounds[1:])
-    return sorted_eids, bounds
-
-
 @dataclass(frozen=True)
 class PartitionStats:
     """Cut-quality figures of one plan (the sweep's comparison axes)."""
@@ -202,33 +177,8 @@ class PartitionPlan:
         return shard_slices(self.edge_card, self.num_cards)
 
 
-#: name -> partitioner callable ``fn(n, u, v, num_cards)``
-PARTITIONERS: dict[str, Callable] = {}
-
-
-def register_partitioner(name: str, summary: str):
-    """Class/function decorator adding a strategy to the registry."""
-
-    def deco(fn):
-        fn.partitioner_name = name
-        fn.summary = summary
-        PARTITIONERS[name] = fn
-        return fn
-
-    return deco
-
-
-def get_partitioner(name: str) -> Callable:
-    try:
-        return PARTITIONERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown partitioner {name!r}; available: "
-            f"{', '.join(sorted(PARTITIONERS))}"
-        ) from None
-
-
 def list_partitioners() -> tuple[str, ...]:
+    """Names accepted by :func:`plan_edges`, sorted."""
     return tuple(sorted(PARTITIONERS))
 
 
@@ -276,7 +226,13 @@ def plan_edges(
     :meth:`~repro.graph.csr.CSRGraph.edge_endpoints` (``u <= v``).
     """
     num_cards = validate_num_cards(num_cards)
-    fn = get_partitioner(partitioner)
+    try:
+        fn = PARTITIONERS[partitioner]
+    except KeyError:
+        raise ValueError(
+            f"unknown partitioner {partitioner!r}; available: "
+            f"{', '.join(list_partitioners())}"
+        ) from None
     edge_card, vertex_card, meta = fn(num_vertices, u, v, num_cards)
     edge_card = np.asarray(edge_card, dtype=np.int64)
     vertex_card = np.asarray(vertex_card, dtype=np.int64)
@@ -298,28 +254,20 @@ def plan_edges(
 
 
 # ----------------------------------------------------------------------
-# Built-in strategies
+# Strategies
 # ----------------------------------------------------------------------
-@register_partitioner("range", "contiguous vertex-id blocks (the "
-                               "original split); edge owned by its "
-                               "lower endpoint's card")
 def _range_plan(num_vertices, u, v, num_cards):
     vertex_card = partition_vertices(num_vertices, num_cards,
                                      strategy="block")
     return vertex_card[u], vertex_card, {}
 
 
-@register_partitioner("hash", "vertex id modulo cards; even vertex "
-                              "balance, locality-oblivious (high cut)")
 def _hash_plan(num_vertices, u, v, num_cards):
     vertex_card = partition_vertices(num_vertices, num_cards,
                                      strategy="hash")
     return vertex_card[u], vertex_card, {}
 
 
-@register_partitioner("edge-cut", "degree-weighted contiguous ranges: "
-                                  "boundaries placed on the cumulative-"
-                                  "degree curve for ~m/cards edges each")
 def _edge_cut_plan(num_vertices, u, v, num_cards):
     deg = (np.bincount(u, minlength=num_vertices)
            + np.bincount(v, minlength=num_vertices))
@@ -341,9 +289,6 @@ def _grid_dims(num_cards: int) -> tuple[int, int]:
     return r, num_cards // r
 
 
-@register_partitioner("grid2d", "2-D adjacency-matrix grid: edge (u,v) "
-                                "-> card (row_block(u), col_block(v)); "
-                                "needs a composite card count")
 def _grid2d_plan(num_vertices, u, v, num_cards):
     rows, cols = _grid_dims(num_cards)
     if num_cards > 1 and rows == 1:
@@ -360,3 +305,13 @@ def _grid2d_plan(num_vertices, u, v, num_cards):
     # (row_block(v), col_block(v)).
     vertex_card = row_of * cols + col_of
     return edge_card, vertex_card, {"rows": int(rows), "cols": int(cols)}
+
+
+#: name -> ``fn(num_vertices, u, v, num_cards)`` returning
+#: ``(edge_card, vertex_card, meta)``
+PARTITIONERS = {
+    "range": _range_plan,
+    "hash": _hash_plan,
+    "edge-cut": _edge_cut_plan,
+    "grid2d": _grid2d_plan,
+}

@@ -1,8 +1,8 @@
 """Run identity and the ambient telemetry context.
 
 Every instrumented surface — ``Amst.run``, the oracle, sweeps, the run
-cache and ``run_scale_out`` — attributes its
-telemetry to one :class:`RunContext`: a run ID plus the fingerprints
+cache and ``run_fabric`` — attributes its telemetry to one
+:class:`RunContext`: a run ID plus the fingerprints
 that make the run reproducible (graph content hash, config content
 hash, git SHA, start timestamp).  The context is a small frozen,
 picklable dataclass, so pool workers receive it by value and stamp

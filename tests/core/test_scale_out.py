@@ -1,10 +1,11 @@
-"""Unit tests for the multi-FPGA scale-out extension."""
+"""Multi-FPGA scale-out through ``repro.fabric.run_fabric``."""
 
 import numpy as np
 import pytest
 
-from repro.core import AmstConfig, run_scale_out
-from repro.fabric.partition import _partition_edges, partition_vertices
+from repro.core import AmstConfig
+from repro.fabric import partition_vertices, run_fabric
+from repro.fabric.partition import shard_slices
 from repro.graph import from_edges, rmat, road_lattice
 from repro.mst import kruskal, validate_mst
 
@@ -64,7 +65,7 @@ class TestPartition:
 
 
 class TestPartitionEdges:
-    """The single-scan edge partition must equal the per-card sweeps."""
+    """Edge shards: one scan equals the per-card sweeps; empty shards run."""
 
     @pytest.mark.parametrize("strategy", ["block", "hash"])
     @pytest.mark.parametrize("cards", [1, 2, 3, 8])
@@ -73,29 +74,32 @@ class TestPartitionEdges:
         part = partition_vertices(g.num_vertices, cards, strategy=strategy)
         u, v, _ = g.edge_endpoints()
         edge_card = part[u]
-        internal = edge_card == part[v]
-        sorted_eids, bounds = _partition_edges(edge_card, internal, cards)
+        sorted_eids, bounds = shard_slices(edge_card, cards)
         assert bounds.shape == (cards + 1,)
-        assert bounds[-1] == int(internal.sum())
+        assert bounds[-1] == g.num_edges
         for card in range(cards):
-            expected = np.flatnonzero(internal & (edge_card == card))
+            expected = np.flatnonzero(edge_card == card)
             got = sorted_eids[bounds[card]:bounds[card + 1]]
             np.testing.assert_array_equal(got, expected)
 
     def test_empty_edge_set(self):
-        edge_card = np.empty(0, dtype=np.int64)
-        internal = np.empty(0, dtype=bool)
-        sorted_eids, bounds = _partition_edges(edge_card, internal, 4)
+        g = from_edges(6, np.empty(0, dtype=np.int64),
+                       np.empty(0, dtype=np.int64), np.empty(0))
+        r = run_fabric(g, 4, CFG)
+        sorted_eids, bounds = r.plan.shards()
         assert sorted_eids.size == 0
         assert bounds.tolist() == [0] * 5
+        assert r.result.num_edges == 0 and r.result.num_components == 6
 
     def test_trailing_empty_cards(self):
-        # all internal edges on card 0; cards 1..3 must get empty slices
-        edge_card = np.zeros(5, dtype=np.int64)
-        internal = np.ones(5, dtype=bool)
-        sorted_eids, bounds = _partition_edges(edge_card, internal, 4)
-        assert sorted_eids.tolist() == [0, 1, 2, 3, 4]
-        assert bounds.tolist() == [0, 5, 5, 5, 5]
+        # every edge between vertices 0..1, so range puts all on card 0
+        # and cards 1..3 run empty shards
+        g = from_edges(8, np.array([0, 0]), np.array([1, 1]),
+                       np.array([2.0, 1.0]))
+        r = run_fabric(g, 4, CFG)
+        sorted_eids, bounds = r.plan.shards()
+        assert bounds.tolist() == [0, g.num_edges] + [g.num_edges] * 3
+        validate_mst(g, r.result, reference=kruskal(g))
 
 
 class TestScaleOutCorrectness:
@@ -104,28 +108,28 @@ class TestScaleOutCorrectness:
     def test_exact_forest_weight(self, cards, partitioner):
         g = rmat(9, 8, rng=1)
         ref = kruskal(g)
-        r = run_scale_out(g, cards, CFG, partitioner=partitioner)
+        r = run_fabric(g, cards, CFG, partitioner=partitioner)
         validate_mst(g, r.result, reference=ref)
 
     def test_disconnected_graph(self):
         g = road_lattice(20, 20, drop_prob=0.3, rng=2)
         ref = kruskal(g)
-        r = run_scale_out(g, 4, CFG)
+        r = run_fabric(g, 4, CFG)
         validate_mst(g, r.result, reference=ref)
 
     def test_single_card_degenerates_to_plain_run(self):
         g = rmat(8, 6, rng=3)
-        r = run_scale_out(g, 1, CFG)
-        assert r.report.cut_edges == 0
-        assert r.report.exchange_seconds == 0.0
+        r = run_fabric(g, 1, CFG)
+        assert r.plan.stats.cut_edges == 0
+        assert r.network.total_seconds == 0.0
         validate_mst(g, r.result, reference=kruskal(g))
 
     def test_num_cards_recorded(self):
         g = rmat(8, 6, rng=4)
-        r = run_scale_out(g, 2, CFG)
+        r = run_fabric(g, 2, CFG)
         assert r.result.extras["num_cards"] == 2
-        assert r.report.num_cards == 2
-        assert len(r.report.local_outputs) == 2
+        assert r.plan.num_cards == 2
+        assert len(r.local_outputs) == 2
 
     @pytest.mark.parametrize("partitioner", ["range", "hash"])
     def test_more_cards_than_vertices(self, partitioner):
@@ -133,35 +137,36 @@ class TestScaleOutCorrectness:
         v = np.array([1, 2, 3], dtype=np.int64)
         w = np.array([1.0, 2.0, 3.0])
         g = from_edges(4, u, v, w)
-        r = run_scale_out(g, 8, CFG, partitioner=partitioner)
+        r = run_fabric(g, 8, CFG, partitioner=partitioner)
         validate_mst(g, r.result, reference=kruskal(g))
-        assert len(r.report.local_outputs) == 8
+        assert len(r.local_outputs) == 8
 
 
 class TestScaleOutModel:
     def test_local_phase_shrinks_with_cards(self):
         g = rmat(11, 16, rng=5)
-        one = run_scale_out(g, 1, CFG)
-        four = run_scale_out(g, 4, CFG)
-        assert four.report.local_seconds < one.report.local_seconds
+        one = run_fabric(g, 1, CFG)
+        four = run_fabric(g, 4, CFG)
+        assert four.local_seconds < one.local_seconds
 
     def test_cut_edges_grow_with_cards(self):
         g = rmat(10, 8, rng=6)
-        two = run_scale_out(g, 2, CFG)
-        eight = run_scale_out(g, 8, CFG)
-        assert eight.report.cut_edges >= two.report.cut_edges
+        two = run_fabric(g, 2, CFG)
+        eight = run_fabric(g, 8, CFG)
+        assert eight.plan.stats.cut_edges >= two.plan.stats.cut_edges
 
     def test_energy_accumulates_cards(self):
         g = rmat(10, 8, rng=7)
-        r = run_scale_out(g, 4, CFG)
-        local = sum(o.report.energy_joules for o in r.report.local_outputs)
-        assert r.report.energy_joules >= local
+        r = run_fabric(g, 4, CFG)
+        local = sum(o.report.energy_joules for o in r.local_outputs)
+        assert r.energy_joules == pytest.approx(
+            local + r.merge_output.report.energy_joules)
 
     def test_block_cuts_fewer_lattice_edges_than_hash(self):
         g = road_lattice(30, 30, rng=8)
-        block = run_scale_out(g, 4, CFG, partitioner="range")
-        hashed = run_scale_out(g, 4, CFG, partitioner="hash")
-        assert block.report.cut_edges < hashed.report.cut_edges
+        block = run_fabric(g, 4, CFG, partitioner="range")
+        hashed = run_fabric(g, 4, CFG, partitioner="hash")
+        assert block.plan.stats.cut_edges < hashed.plan.stats.cut_edges
 
 
 class TestCardCountValidation:
@@ -171,40 +176,26 @@ class TestCardCountValidation:
     def test_non_positive_cards_rejected(self, bad):
         g = road_lattice(4, 4, rng=0)
         with pytest.raises(ValueError, match="num_cards must be >= 1"):
-            run_scale_out(g, bad, CFG)
+            run_fabric(g, bad, CFG)
 
     @pytest.mark.parametrize("bad", [2.0, 3.5, "4", None, True])
     def test_non_integer_cards_rejected(self, bad):
         g = road_lattice(4, 4, rng=0)
         with pytest.raises(TypeError, match="num_cards must be an integer"):
-            run_scale_out(g, bad, CFG)
+            run_fabric(g, bad, CFG)
 
     @pytest.mark.parametrize("cards", [3, 5, 6, 7])
     def test_non_power_of_two_cards_exact(self, cards):
         # the reduction tree pairs (lo, lo + stride) for any count, so
         # odd/non-power-of-two card counts are first-class
         g = rmat(8, 8, rng=11)
-        serial = run_scale_out(g, 1, CFG)
-        r = run_scale_out(g, cards, CFG)
+        serial = run_fabric(g, 1, CFG)
+        r = run_fabric(g, cards, CFG)
         np.testing.assert_array_equal(r.result.edge_ids,
                                       serial.result.edge_ids)
-        assert len(r.report.local_outputs) == cards
+        assert len(r.local_outputs) == cards
 
     def test_numpy_integer_cards_accepted(self):
         g = road_lattice(4, 4, rng=0)
-        r = run_scale_out(g, np.int64(2), CFG)
-        assert r.report.num_cards == 2
-
-
-class TestStrategyDeprecation:
-    """The legacy ``strategy=`` alias is gone; ``partitioner=`` is the
-    one spelling and raises no ``DeprecationWarning``."""
-
-    def test_partitioner_does_not_warn(self):
-        import warnings
-
-        g = road_lattice(4, 4, rng=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_scale_out(g, 2, CFG, partitioner="range")
-            run_scale_out(g, 2, CFG)
+        r = run_fabric(g, np.int64(2), CFG)
+        assert r.plan.num_cards == 2

@@ -1,14 +1,12 @@
-"""Partitioner registry: exact edge ownership, stats, validation."""
+"""Partitioners: exact edge ownership, stats, validation."""
 
 import numpy as np
 import pytest
 
 from repro.fabric import (
     PARTITIONERS,
-    get_partitioner,
     list_partitioners,
     plan_edges,
-    register_partitioner,
     validate_num_cards,
 )
 from repro.fabric.partition import _grid_dims, shard_slices
@@ -40,41 +38,25 @@ class TestValidateNumCards:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(ALL) <= set(list_partitioners())
+        assert list_partitioners() == tuple(sorted(ALL))
 
     def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            get_partitioner("metis")
+        g = road_lattice(4, 4, rng=0)
+        u, v = _endpoints(g)
+        with pytest.raises(ValueError, match="unknown partitioner 'metis'; "
+                                             "available: edge-cut, grid2d"):
+            plan_edges(g.num_vertices, u, v, 2, partitioner="metis")
 
-    def test_register_and_use(self):
-        @register_partitioner("all-on-zero", "everything on card 0")
-        def _plan(n, u, v, num_cards):
-            return (np.zeros(u.size, dtype=np.int64),
-                    np.zeros(n, dtype=np.int64), {})
-
-        try:
-            g = road_lattice(6, 6, rng=0)
-            u, v = _endpoints(g)
-            plan = plan_edges(g.num_vertices, u, v, 4,
-                              partitioner="all-on-zero")
-            assert plan.stats.empty_cards == 3
-            assert plan.stats.cut_edges == 0
-        finally:
-            del PARTITIONERS["all-on-zero"]
-
-    def test_out_of_range_card_id_rejected(self):
-        @register_partitioner("broken", "returns card id == num_cards")
+    def test_out_of_range_card_id_rejected(self, monkeypatch):
         def _plan(n, u, v, num_cards):
             return (np.full(u.size, num_cards, dtype=np.int64),
                     np.zeros(n, dtype=np.int64), {})
 
-        try:
-            g = road_lattice(4, 4, rng=0)
-            u, v = _endpoints(g)
-            with pytest.raises(ValueError, match="out-of-range"):
-                plan_edges(g.num_vertices, u, v, 2, partitioner="broken")
-        finally:
-            del PARTITIONERS["broken"]
+        monkeypatch.setitem(PARTITIONERS, "broken", _plan)
+        g = road_lattice(4, 4, rng=0)
+        u, v = _endpoints(g)
+        with pytest.raises(ValueError, match="out-of-range"):
+            plan_edges(g.num_vertices, u, v, 2, partitioner="broken")
 
 
 class TestExactPartition:
@@ -159,9 +141,16 @@ class TestStrategies:
 class TestShardSlices:
     def test_matches_boolean_sweeps(self):
         rng = np.random.default_rng(5)
-        edge_card = rng.integers(0, 5, size=200)
-        sorted_eids, bounds = shard_slices(edge_card, 5)
-        for card in range(5):
-            expect = np.flatnonzero(edge_card == card)
-            got = sorted_eids[bounds[card]:bounds[card + 1]]
-            assert np.array_equal(got, expect)
+        inputs = [
+            (rng.integers(0, 5, size=200), 5),
+            (np.empty(0, dtype=np.int64), 4),  # no edges at all
+            (np.zeros(5, dtype=np.int64), 4),  # trailing cards empty
+        ]
+        for edge_card, cards in inputs:
+            sorted_eids, bounds = shard_slices(edge_card, cards)
+            assert bounds.shape == (cards + 1,)
+            assert bounds[0] == 0 and bounds[-1] == edge_card.size
+            for card in range(cards):
+                expect = np.flatnonzero(edge_card == card)
+                got = sorted_eids[bounds[card]:bounds[card + 1]]
+                assert np.array_equal(got, expect)

@@ -15,6 +15,7 @@ PACKAGES = [
     "repro.memory",
     "repro.kernels",
     "repro.core",
+    "repro.fabric",
     "repro.baselines",
     "repro.bench",
     "repro.incremental",
@@ -70,9 +71,9 @@ def test_public_classes_have_docstrings():
                 assert obj.__doc__, f"{name}.{symbol} lacks a docstring"
 
 
-def test_cli_import_loads_no_multiprocessing():
-    """`import repro.cli` (every `amst client` call pays it) must not
-    pull in multiprocessing; only `bench`/`sweep --jobs N` import it."""
+def _modules_loaded_by(module: str, candidates: tuple[str, ...]) -> str:
+    """Which of ``candidates`` a fresh interpreter has loaded after
+    ``import module``, printed as a sorted list."""
     import os
     import subprocess
     import sys
@@ -84,12 +85,22 @@ def test_cli_import_loads_no_multiprocessing():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = ("import sys, repro.cli; "
-             "print(sorted(m for m in ('multiprocessing',)"
-             " if m in sys.modules))")
+    probe = (f"import sys, {module}; "
+             f"print(sorted(m for m in {candidates!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_multiprocessing():
+    """`import repro.cli` (every `amst client` call pays it) must not
+    pull in multiprocessing; only `bench`/`sweep --jobs N` import it."""
+    assert _modules_loaded_by("repro.cli", ("multiprocessing",)) == "[]"
+
+
+def test_core_import_loads_no_fabric():
+    """The simulator does not depend on the multi-card layer above it."""
+    assert _modules_loaded_by("repro.core", ("repro.fabric",)) == "[]"
 
 
 def test_shared_memory_graph_store_is_gone():
@@ -102,7 +113,6 @@ def test_shared_memory_graph_store_is_gone():
     "repro.verify.compute_golden_records",
     "repro.verify.check_golden",
     "repro.verify.update_golden",
-    "repro.core.run_scale_out",
     "repro.fabric.run_fabric",
 ])
 def test_single_graph_entry_points_take_no_jobs(path):

@@ -1,5 +1,7 @@
 """Tests for the ``amst`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -48,6 +50,36 @@ class TestCommands:
                      "--parallelism", "4",
                      "--cache-vertices", "128"]) == 0
         assert "MEPS" in capsys.readouterr().out
+
+    SCALEOUT = ["scaleout", "--dataset", "CF", "--scale", "0.05",
+                "--validate"]
+    MODELLED = re.compile(
+        r"modelled time: local ([\d.]+) ms \+ scatter ([\d.]+) ms \+ "
+        r"reduce ([\d.]+) ms \+ merge ([\d.]+) ms = ([\d.]+) ms")
+
+    def test_scaleout_terms_add_up(self, capsys):
+        assert main(self.SCALEOUT + ["--cards", "4",
+                                     "--partitioner", "edge-cut"]) == 0
+        out = capsys.readouterr().out
+        assert "forest matches Kruskal" in out
+        *terms, total = map(float, self.MODELLED.search(out).groups())
+        assert all(t > 0 for t in terms)
+        # each printed term is rounded to 1 us
+        assert sum(terms) == pytest.approx(total, abs=2e-3)
+
+    def test_scaleout_one_card_is_the_plain_run(self, capsys):
+        assert main(self.SCALEOUT + ["--cards", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "forest matches Kruskal" in out
+        assert "0 round(s), 0 message(s)" in out
+        *terms, total = self.MODELLED.search(out).groups()
+        assert terms[1:] == ["0.000"] * 3 and terms[0] == total
+        energy = re.search(r"energy +: ([\d.]+) mJ", out).group(1)
+
+        assert main(["run", "--dataset", "CF", "--scale", "0.05"]) == 0
+        plain = capsys.readouterr().out
+        assert f"({total} ms @" in plain
+        assert f"energy       : {energy} mJ @" in plain
 
     def test_datasets(self, capsys):
         assert main(["datasets", "--scale", "0.25"]) == 0
